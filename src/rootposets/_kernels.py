@@ -1,143 +1,133 @@
-"""Array kernels for inversion-set peeling.
+"""Integer kernels on affine-root coordinates: reflections and the peel.
 
-Peeling is the hot loop of minimal-element computation: the inversion set is
-an (m, n+1) int64 array of rows (root coordinates..., level), and each step
-removes one simple affine root and reflects the rest.  Generator j acts on a
-row r as ``r -= (g[j] . r) * u[j]`` for precomputed integer vectors g, u, so
-a step is one mat-vec plus a rank-one update.
+An affine root mu + k*delta is the integer row (mu in simple-root
+coordinates..., k).  Generator j acts on a row x as
+``x - (h[j] . x) * a[j]``, where a[j] is the affine simple root alpha_j and
+h[j] . x = <x, alpha_j^vee>; both vectors are sparse, so reflecting a matrix
+touches few rows or columns.
 
-Two implementations of the same loop are provided: a numba-compiled one and a
-pure-NumPy one.  `peel` dispatches to numba when it is importable and the
-environment variable ROOTPOSETS_PURE_NUMPY is unset/"0", and to NumPy
-otherwise.  Both return the peeled generator indices in peel order (callers
-reverse to obtain the reduced word).
+`peel` recovers the element w whose inversion set is a given set of rows.
+Rather than reflecting every remaining row at each step, it keeps
+v_i = u(alpha_i) for the n+1 affine simple roots, where u is the product of
+the letters peeled so far, and removes from the (fixed) row set the v_j of
+the lowest j still present.  Peeling s_j changes only v_j and its neighbours
+in the extended Dynkin diagram, so a word of length l costs O(l*n).  When
+the set is empty, v_i = w^{-1}(alpha_i).
 """
 
 from __future__ import annotations
 
-import os
-
-import numpy as np
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 from .rootsystem import RootSystem
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    njit = None
-    HAS_NUMBA = False
+Matrix = tuple[tuple[int, ...], ...]
+Support = tuple[tuple[tuple[int, int], ...], ...]
 
 
 class PeelError(ValueError):
     """The given rows do not form the inversion set of any element."""
 
 
-def kernel_backend() -> str:
-    if HAS_NUMBA and os.environ.get("ROOTPOSETS_PURE_NUMPY", "0") in ("", "0"):
-        return "numba"
-    return "numpy"
+class PeelTables(NamedTuple):
+    """The n+1 affine generators of one root system, on affine-root rows."""
+
+    simples: Matrix  # a[0] = (-theta, 1); a[j] = (e_j, 0) for j >= 1
+    coroots: Matrix  # h[j] . x = <x, alpha_j^vee>; level coordinate 0
+    simple_support: Support  # nonzero (coordinate, a[j][coordinate])
+    coroot_support: Support  # nonzero (coordinate, h[j][coordinate])
+    links: Support  # (i, <alpha_i, alpha_j^vee>) for extended-diagram neighbours i of j
 
 
-def peel_tables(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gvecs, uvecs, simples) for the n+1 affine generators, shape (n+1, n+1).
+def _support(vec: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    return tuple((c, x) for c, x in enumerate(vec) if x)
 
-    Generator j >= 1 has g = (row j of the Cartan matrix, 0) and u = e_j;
-    generator 0 reflects in theta and shifts the level: g = (theta pairing
-    row, 0), u = (theta, -1).
-    """
+
+@lru_cache(maxsize=None)
+def peel_tables(rs: RootSystem) -> PeelTables:
     n = rs.rank
-    gvecs = np.zeros((n + 1, n + 1), dtype=np.int64)
-    uvecs = np.zeros((n + 1, n + 1), dtype=np.int64)
-    simples = np.zeros((n + 1, n + 1), dtype=np.int64)
     cm = rs.coroot_marks
-    for c in range(n):
-        gvecs[0, c] = sum(rs.cartan[j][c] * cm[j] for j in range(n))
-        uvecs[0, c] = rs.theta[c]
-        simples[0, c] = -rs.theta[c]
-    uvecs[0, n] = -1
-    simples[0, n] = 1
-    for j in range(1, n + 1):
-        gvecs[j, :n] = rs.cartan[j - 1]
-        uvecs[j, j - 1] = 1
-        simples[j, j - 1] = 1
-    return gvecs, uvecs, simples
+    simples = [tuple(-c for c in rs.theta) + (1,)]
+    # <mu, alpha_0^vee> = -<mu, theta^vee>, and theta^vee = sum cm_j alpha_j^vee
+    coroots = [tuple(-sum(rs.cartan[j][c] * cm[j] for j in range(n)) for c in range(n)) + (0,)]
+    for j in range(n):
+        simples.append(tuple(int(c == j) for c in range(n + 1)))
+        coroots.append(rs.cartan[j] + (0,))
+    links = tuple(
+        tuple(
+            (i, pairing)
+            for i, a in enumerate(simples)
+            if i != j and (pairing := sum(x * y for x, y in zip(h, a)))
+        )
+        for j, h in enumerate(coroots)
+    )
+    return PeelTables(
+        tuple(simples),
+        tuple(coroots),
+        tuple(_support(a) for a in simples),
+        tuple(_support(h) for h in coroots),
+        links,
+    )
 
 
-def peel_numpy(rows: np.ndarray, gvecs: np.ndarray, uvecs: np.ndarray, simples: np.ndarray) -> np.ndarray:
-    m, width = rows.shape
-    n_gen = simples.shape[0]
-    word = np.empty(m, dtype=np.int64)
-    active = rows.astype(np.int64, copy=True)
-    for step in range(m):
-        for j in range(n_gen):
-            hits = np.nonzero((active == simples[j]).all(axis=1))[0]
-            if hits.size:
-                break
-        else:
-            raise PeelError("no simple affine root in the remaining set")
-        word[step] = j
-        active[hits[0]] = active[-1]
-        active = active[:-1]
-        if active.size:
-            dots = active @ gvecs[j]
-            active = active - dots[:, None] * uvecs[j][None, :]
-    return word
+def identity_rows(size: int) -> list[list[int]]:
+    return [[int(r == c) for c in range(size)] for r in range(size)]
 
 
-def _peel_loop(rows, gvecs, uvecs, simples, word):
-    m, width = rows.shape
-    n_gen = simples.shape[0]
-    count = m
-    for step in range(m):
-        found = -1
-        hit = -1
-        for j in range(n_gen):
-            for r in range(count):
-                ok = True
-                for c in range(width):
-                    if rows[r, c] != simples[j, c]:
-                        ok = False
-                        break
-                if ok:
-                    found = j
-                    hit = r
-                    break
-            if found >= 0:
-                break
-        if found < 0:
-            return step
-        word[step] = found
-        count -= 1
-        for c in range(width):
-            rows[hit, c] = rows[count, c]
-        for r in range(count):
-            dot = 0
-            for c in range(width):
-                dot += gvecs[found, c] * rows[r, c]
-            if dot != 0:
-                for c in range(width):
-                    rows[r, c] -= dot * uvecs[found, c]
-    return m
+def reflect_rows(m: list[list[int]], j: int, tables: PeelTables) -> None:
+    """m <- s_j m in place: m - a[j] (h[j] m)."""
+    combo = None
+    for c, h in tables.coroot_support[j]:
+        row = m[c]
+        combo = [h * x for x in row] if combo is None else [y + h * x for x, y in zip(row, combo)]
+    for c, a in tables.simple_support[j]:
+        m[c] = [x - a * y for x, y in zip(m[c], combo)]
 
 
-if HAS_NUMBA:
-    _peel_loop_numba = njit(cache=True)(_peel_loop)
+def reflect_columns(m: list[list[int]], j: int, tables: PeelTables) -> None:
+    """m <- m s_j in place: m - (m a[j]) h[j]."""
+    simple, coroot = tables.simple_support[j], tables.coroot_support[j]
+    for row in m:
+        image = sum(a * row[c] for c, a in simple)
+        if image:
+            for c, h in coroot:
+                row[c] -= h * image
 
 
-def peel_numba(rows: np.ndarray, gvecs: np.ndarray, uvecs: np.ndarray, simples: np.ndarray) -> np.ndarray:
-    if not HAS_NUMBA:  # pragma: no cover - depends on environment
-        raise RuntimeError("numba is not available")
-    work = rows.astype(np.int64, copy=True)
-    word = np.empty(work.shape[0], dtype=np.int64)
-    done = _peel_loop_numba(work, np.ascontiguousarray(gvecs), np.ascontiguousarray(uvecs), np.ascontiguousarray(simples), word)
-    if done != work.shape[0]:
-        raise PeelError("no simple affine root in the remaining set")
-    return word
+class Peeled(NamedTuple):
+    word: tuple[int, ...]  # a reduced word of w; the first letter peeled is last
+    matrix: Matrix  # w on affine-root coordinates
+    inverse: Matrix  # w^{-1}: columns w^{-1}(alpha_1), ..., w^{-1}(alpha_n), delta
 
 
-def peel(rows: np.ndarray, gvecs: np.ndarray, uvecs: np.ndarray, simples: np.ndarray) -> np.ndarray:
-    if kernel_backend() == "numba":
-        return peel_numba(rows, gvecs, uvecs, simples)
-    return peel_numpy(rows, gvecs, uvecs, simples)
+def peel(rows: Sequence[Sequence[int]], tables: PeelTables) -> Peeled:
+    """The element whose inversion set is `rows`, peeling the lowest index first.
+
+    Raises PeelError if the rows are not the inversion set of an element.
+    """
+    remaining = set(map(tuple, rows))
+    if len(remaining) != len(rows):
+        raise PeelError("the rows contain duplicates")
+    links = tables.links
+    images = list(tables.simples)  # v_i
+    present = [v in remaining for v in images]
+    matrix = identity_rows(len(images))
+    peeled = []
+    while remaining:
+        try:
+            j = present.index(True)
+        except ValueError:
+            raise PeelError("no simple affine root in the remaining set") from None
+        vj = images[j]
+        remaining.remove(vj)
+        for i, pairing in links[j]:
+            vi = images[i] = tuple(x - pairing * y for x, y in zip(images[i], vj))
+            present[i] = vi in remaining
+        vj = images[j] = tuple(-y for y in vj)
+        present[j] = vj in remaining
+        reflect_rows(matrix, j, tables)
+        peeled.append(j)
+    peeled.reverse()
+    delta = (0,) * (len(images) - 1) + (1,)
+    return Peeled(tuple(peeled), tuple(map(tuple, matrix)), tuple(zip(*images[1:], delta)))

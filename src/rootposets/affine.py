@@ -1,12 +1,11 @@
 """Affine Weyl group elements, affine roots, and alcove geometry.
 
 An affine root is a pair (finite part, level) standing for ``mu + level*delta``
-with ``mu`` in simple-root coordinates.  Group elements are stored as an
-integer matrix (the linear part, acting on root coordinates) together with an
-integer translation vector in the *coroot* basis, with the convention
-``w = linear_part o t_trans``.  All derived quantities (inverses, coroot
-matrices, wall images) are computed exactly and asserted integral where the
-theory says they must be.
+with ``mu`` in simple-root coordinates.  The affine Weyl group acts linearly
+on these integer coordinates, so an element is one integer (n+1)x(n+1)
+matrix, stored with its inverse; products, inverses, lengths and wall images
+are integer computations.  Only points of the ambient space (`act_point`,
+alcove vertices) have rational coordinates.
 
 The fundamental alcove is the open simplex cut out by (x, alpha_i) > 0 and
 (x, theta) < 1; its vertices are 0 and the fundamental coweights divided by
@@ -18,9 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .rootsystem import Root, RootSystem, RootSystemError, invert_exact
+from . import _kernels
+from ._kernels import Matrix
+from .rootsystem import Root, RootSystem, RootSystemError
 
 Vector = tuple[Q, ...]
 
@@ -49,171 +51,123 @@ def affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
 
 
 @lru_cache(maxsize=None)
-def _theta_pairing_row(rs: RootSystem) -> tuple[int, ...]:
-    """Row vector g with g . x = <x, theta_coroot> for x in root coordinates."""
-    cm = rs.coroot_marks
-    return tuple(sum(rs.cartan[j][i] * cm[j] for j in range(rs.rank)) for i in range(rs.rank))
+def _coweights(rs: RootSystem) -> tuple[Vector, ...]:
+    return rs.fundamental_coweights()
 
 
-def _identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _simple_reflection_matrix(rs: RootSystem, i: int) -> tuple[tuple[int, ...], ...]:
-    n = rs.rank
-    return tuple(
-        tuple((1 if r == c else 0) - (rs.cartan[i][c] if r == i else 0) for c in range(n))
-        for r in range(n)
-    )
-
-
-def _theta_reflection_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    n = rs.rank
-    g = _theta_pairing_row(rs)
-    return tuple(
-        tuple((1 if r == c else 0) - rs.theta[r] * g[c] for c in range(n)) for r in range(n)
-    )
-
-
-def _mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
-
-
-def _mat_vec(m, v) -> tuple:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
-
-
-def _coroot_matrix(rs: RootSystem, m) -> tuple[tuple[int, ...], ...]:
-    """Conjugate a root-coordinate matrix into the coroot basis: D m D^{-1}."""
-    n = rs.rank
-    out = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            entry = rs.d[r] * m[r][c] / rs.d[c]
-            assert entry.denominator == 1, "coroot lattice is not preserved"
-            row.append(int(entry))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _invert_integer_matrix(m) -> tuple[tuple[int, ...], ...]:
-    inv = invert_exact([[Q(x) for x in row] for row in m])
-    out = []
-    for row in inv:
-        assert all(x.denominator == 1 for x in row), "matrix inverse is not integral"
-        out.append(tuple(int(x) for x in row))
-    return tuple(out)
+def _frozen(m: list[list[int]]) -> Matrix:
+    return tuple(map(tuple, m))
 
 
 @dataclass(frozen=True)
 class AffineWeylElement:
-    """w = linear_part o t_trans with trans in coroot coordinates."""
+    """w as an integer matrix on affine-root coordinates (mu..., level).
+
+    Column c < n is the image of the c-th finite simple root, and the last
+    column is w(delta) = delta.  The inverse is kept beside the matrix, so `inverse` is a swap; it is not
+    part of ==.
+    """
 
     rs: RootSystem = field(repr=False)
-    matrix: tuple[tuple[int, ...], ...]
-    trans: tuple[int, ...]
+    matrix: Matrix
+    inverse_matrix: Matrix = field(repr=False, compare=False)
 
     # -- construction ---------------------------------------------------------
 
     @staticmethod
     def identity(rs: RootSystem) -> "AffineWeylElement":
-        return AffineWeylElement(rs, _identity_matrix(rs.rank), (0,) * rs.rank)
+        eye = _frozen(_kernels.identity_rows(rs.rank + 1))
+        return AffineWeylElement(rs, eye, eye)
 
     @staticmethod
     def simple_reflection(rs: RootSystem, i: int) -> "AffineWeylElement":
-        if i == 0:
-            trans = tuple(-c for c in rs.coroot_marks)
-            return AffineWeylElement(rs, _theta_reflection_matrix(rs), trans)
-        if not 1 <= i <= rs.rank:
-            raise RootSystemError(f"affine generator index {i} out of range 0..{rs.rank}")
-        zero = (0,) * rs.rank
-        return AffineWeylElement(rs, _simple_reflection_matrix(rs, i - 1), zero)
+        return AffineWeylElement.from_word(rs, (i,))
 
     @staticmethod
     def from_word(rs: RootSystem, word: Sequence[int]) -> "AffineWeylElement":
-        w = AffineWeylElement.identity(rs)
-        for i in word:
-            w = w.right_multiply(i)
-        return w
+        eye = _kernels.identity_rows(rs.rank + 1)
+        return _times_word(rs, eye, eye, word)
 
     # -- group structure ------------------------------------------------------
 
     def right_multiply(self, i: int) -> "AffineWeylElement":
-        """w * s_i, using that the generators are involutions."""
-        s = AffineWeylElement.simple_reflection(self.rs, i)
-        s_co = _coroot_matrix(self.rs, s.matrix)
-        trans = tuple(a + b for a, b in zip(s.trans, _mat_vec(s_co, self.trans)))
-        return AffineWeylElement(self.rs, _mat_mul(self.matrix, s.matrix), trans)
+        """w * s_i."""
+        return _times_word(self.rs, self.matrix, self.inverse_matrix, (i,))
 
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.rs is not other.rs:
             raise RootSystemError("cannot compose elements of different systems")
-        inv_lin = _invert_integer_matrix(other.matrix)
-        inv_co = _coroot_matrix(self.rs, inv_lin)
-        trans = tuple(a + b for a, b in zip(other.trans, _mat_vec(inv_co, self.trans)))
-        return AffineWeylElement(self.rs, _mat_mul(self.matrix, other.matrix), trans)
+        return AffineWeylElement(
+            self.rs,
+            _mat_mul(self.matrix, other.matrix),
+            _mat_mul(other.inverse_matrix, self.inverse_matrix),
+        )
 
     def inverse(self) -> "AffineWeylElement":
-        inv_lin = _invert_integer_matrix(self.matrix)
-        lin_co = _coroot_matrix(self.rs, self.matrix)
-        trans = tuple(-c for c in _mat_vec(lin_co, self.trans))
-        return AffineWeylElement(self.rs, inv_lin, trans)
+        return AffineWeylElement(self.rs, self.inverse_matrix, self.matrix)
 
     @property
     def is_identity(self) -> bool:
-        return self.matrix == _identity_matrix(self.rs.rank) and not any(self.trans)
+        return self.matrix == _frozen(_kernels.identity_rows(self.rs.rank + 1))
 
     # -- actions ---------------------------------------------------------------
 
-    def _level_shift(self, finite: Root) -> int:
-        """(mu, trans) for mu in root coordinates, trans in coroot coordinates."""
-        return sum(z * self.rs.pairing(finite, j) for j, z in enumerate(self.trans))
-
     def act(self, ar: AffineRoot) -> AffineRoot:
-        return AffineRoot(_mat_vec(self.matrix, ar.finite), ar.level - self._level_shift(ar.finite))
+        x = (*ar.finite, ar.level)
+        image = tuple([sum(map(mul, row, x)) for row in self.matrix])
+        return AffineRoot(image[:-1], image[-1])
 
     def act_point(self, x: Sequence[Q]) -> Vector:
         """Affine action on the ambient space, x in root coordinates."""
         t = self.translation_root_coords()
-        return tuple(Q(c) for c in _mat_vec(self.matrix, [Q(a) + b for a, b in zip(x, t)]))
+        shifted = [Q(a) + b for a, b in zip(x, t)]
+        return tuple(Q(sum(a * b for a, b in zip(row, shifted))) for row in self.matrix[:-1])
 
     def translation_root_coords(self) -> Vector:
-        return tuple(Q(z) / self.rs.d[j] for j, z in enumerate(self.trans))
+        """t with w = L o t_t: (t, alpha_c) is minus entry c of the level row."""
+        n = self.rs.rank
+        coweights = _coweights(self.rs)
+        level_row = self.matrix[-1]
+        return tuple(
+            -sum((level_row[c] * coweights[c][r] for c in range(n) if level_row[c]), Q(0))
+            for r in range(n)
+        )
 
     def act_wall(self, wall: "Wall") -> "Wall":
-        """Image of a hyperplane under the affine action."""
-        normal = _mat_vec(self.matrix, wall.normal)
-        offset = wall.offset + sum(
-            z * self.rs.pairing(wall.normal, j) for j, z in enumerate(self.trans)
-        )
-        return Wall(normal, offset)
+        """Image of a hyperplane: the zero set of the affine root (normal, -offset)."""
+        image = self.act(AffineRoot(wall.normal, -wall.offset))
+        return Wall(image.finite, -image.level)
 
     # -- length and inversions --------------------------------------------------
 
     def inversion_set(self) -> list[AffineRoot]:
         """All positive affine roots sent to negative ones."""
+        rs = self.rs
         out = []
-        for mu in self.rs.all_roots():
-            k_min = 0 if self.rs.is_positive_root(mu) else 1
-            c = self._level_shift(mu)
-            image_neg = not is_positive_affine(AffineRoot(_mat_vec(self.matrix, mu), 0))
-            top = c if image_neg else c - 1
-            out.extend(AffineRoot(mu, k) for k in range(k_min, top + 1))
+        for mu in rs.all_roots():
+            # w(mu + k*delta) = w(mu) + k*delta is negative for k <= top
+            image = self.act(AffineRoot(mu, 0))
+            top = -image.level - rs.is_positive_root(image.finite)
+            first = 0 if rs.is_positive_root(mu) else 1
+            out.extend(AffineRoot(mu, k) for k in range(first, top + 1))
         out.sort(key=lambda ar: (ar.level, ar.finite))
         return out
 
     def length(self) -> int:
+        """Sum over alpha > 0 of |k - [w(alpha) has negative finite part]|, k its level.
+
+        That term counts the inversions mu + j*delta with mu = alpha or -alpha.
+        """
+        rs = self.rs
         total = 0
-        for mu in self.rs.all_roots():
-            k_min = 0 if self.rs.is_positive_root(mu) else 1
-            c = self._level_shift(mu)
-            image_neg = not is_positive_affine(AffineRoot(_mat_vec(self.matrix, mu), 0))
-            top = c if image_neg else c - 1
-            total += max(0, top - k_min + 1)
+        for alpha in rs.positive_roots:
+            image = self.act(AffineRoot(alpha, 0))
+            total += abs(image.level - (not rs.is_positive_root(image.finite)))
         return total
 
     def right_descents(self) -> set[int]:
@@ -225,6 +179,21 @@ class AffineWeylElement:
         }
 
 
+def _times_word(
+    rs: RootSystem, matrix: Matrix, inverse: Matrix, word: Sequence[int]
+) -> AffineWeylElement:
+    """(matrix) * s_word, with the inverse updated alongside."""
+    tables = _kernels.peel_tables(rs)
+    m = [list(row) for row in matrix]
+    inv = [list(row) for row in inverse]
+    for i in word:
+        if not 0 <= i <= rs.rank:
+            raise RootSystemError(f"affine generator index {i} out of range 0..{rs.rank}")
+        _kernels.reflect_columns(m, i, tables)
+        _kernels.reflect_rows(inv, i, tables)
+    return AffineWeylElement(rs, _frozen(m), _frozen(inv))
+
+
 def word_from_inversion_set(
     rs: RootSystem, roots: Iterable[AffineRoot]
 ) -> tuple[int, ...]:
@@ -233,8 +202,9 @@ def word_from_inversion_set(
     Peels one simple affine root per step (preferring index 0), reflecting the
     remainder; the letters are collected in peel order and reversed, so the
     first peeled generator becomes the final letter of the word.  Raises if
-    the set is not an inversion set.  This is the pure-Python reference; the
-    array kernels in `_kernels` implement the same loop.
+    the set is not an inversion set.  It reflects the whole remaining set at
+    every step, so it is slow; the tests keep it as the reference for
+    `_kernels.peel`, which finds the same word without transforming the set.
     """
     simples = affine_simple_roots(rs)
     gens = [AffineWeylElement.simple_reflection(rs, i) for i in range(rs.rank + 1)]
@@ -289,7 +259,7 @@ def fundamental_alcove_walls(rs: RootSystem) -> tuple[Wall, ...]:
 def fundamental_alcove_vertices(rs: RootSystem) -> tuple[Vector, ...]:
     """0 together with the fundamental coweights scaled by 1/mark."""
     verts = [tuple(Q(0) for _ in range(rs.rank))]
-    coweights = rs.fundamental_coweights()
+    coweights = _coweights(rs)
     for i in range(rs.rank):
         verts.append(tuple(c / rs.theta[i] for c in coweights[i]))
     return tuple(verts)

@@ -5,8 +5,8 @@ An upper ideal is upward-closed in the root order and is identified by its
 generating antichain (its minimal roots).  Each ideal I determines a unique
 affine Weyl element w with inversion set {k*delta - gamma : gamma in I^k},
 where I^(k+1) = (I^k + I) cap positive roots; the element is recovered by
-peeling that inversion set (array kernels in `_kernels`), and every
-construction re-verifies the defining conditions:
+peeling that inversion set (`_kernels.peel`, which builds the integer matrix
+of w as it goes), and every construction re-verifies the defining conditions:
 
   (containment)  gamma in I  iff  w(delta - gamma) < 0
   (dominance)    w(alpha) > 0 for every finite simple alpha
@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from . import _kernels
 from .affine import (
@@ -179,7 +177,8 @@ def expected_ideal_count(rs: RootSystem) -> int:
     value = Q(1)
     for e in rs.exponents:
         value *= Q(rs.h + e + 1, e + 1)
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise RootSystemError(f"ideal count product formula is not integral: {value}")
     return int(value)
 
 
@@ -200,7 +199,8 @@ def ideal_count_closed_form(rs: RootSystem) -> int:
 def expected_edge_count(rs: RootSystem) -> int:
     """#edges of the ideal poset = (n/2) * #ideals."""
     two_edges = rs.rank * expected_ideal_count(rs)
-    assert two_edges % 2 == 0
+    if two_edges % 2:
+        raise RootSystemError(f"odd edge count times two: {two_edges}")
     return two_edges // 2
 
 
@@ -224,35 +224,29 @@ class MinimalElement(NamedTuple):
     word: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
-def _peel_tables(rs: RootSystem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return _kernels.peel_tables(rs)
-
-
-def target_inversion_rows(ideal: UpperIdeal) -> np.ndarray:
-    """Rows (-gamma, k) for gamma in I^k: the inversion set of w as an array."""
-    rs = ideal.rs
-    pos = rs.positive_roots
-    rows = []
-    for k, mask in enumerate(ideal_powers(ideal), start=1):
-        for i in _bits(mask):
-            rows.append([-c for c in pos[i]] + [k])
-    return np.array(rows, dtype=np.int64).reshape(len(rows), rs.rank + 1)
+def target_inversion_rows(ideal: UpperIdeal) -> list[tuple[int, ...]]:
+    """Rows (-gamma, k) for gamma in I^k: the inversion set of w."""
+    pos = ideal.rs.positive_roots
+    return [
+        (*(-c for c in pos[i]), k)
+        for k, mask in enumerate(ideal_powers(ideal), start=1)
+        for i in _bits(mask)
+    ]
 
 
 def minimal_element(ideal: UpperIdeal) -> MinimalElement:
     rs = ideal.rs
     rows = target_inversion_rows(ideal)
-    if rows.shape[0] == 0:
+    if not rows:
         return MinimalElement(ideal, AffineWeylElement.identity(rs), ())
     try:
-        peeled = _kernels.peel(rows, *_peel_tables(rs))
+        peeled = _kernels.peel(rows, _kernels.peel_tables(rs))
     except _kernels.PeelError as exc:  # should be impossible for an upper ideal
         raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
-    word = tuple(int(x) for x in peeled.tolist()[::-1])
-    if word[-1] != 0:
+    if peeled.word[-1] != 0:
         raise RootSystemError("nonempty ideal must end its reduced word with s_0")
-    return MinimalElement(ideal, AffineWeylElement.from_word(rs, word), word)
+    element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
+    return MinimalElement(ideal, element, peeled.word)
 
 
 def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
@@ -260,8 +254,9 @@ def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
 
     Checks, by direct evaluation on the constructed element:
     containment (gamma in I iff w(delta-gamma) < 0, over all positive roots),
-    dominance (w(alpha) > 0 on finite simples), minimality (all k_i >= -1),
-    and length (the word length equals sum of the power sizes and l(w)).
+    dominance (w(alpha) > 0 on finite simples), the stored inverse (w undoes
+    w^{-1} on the simple affine roots), minimality (all k_i >= -1), and length
+    (the word length equals sum of the power sizes and l(w)).
     """
     rs = me.ideal.rs
     w = me.element
@@ -274,7 +269,10 @@ def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
         if not is_positive_affine(w.act(simples[i])):
             raise RootSystemError(f"dominance fails at alpha_{i}")
     w_inv = w.inverse()
-    levels = tuple(w_inv.act(simples[i]).level for i in range(rs.rank + 1))
+    images = [w_inv.act(a) for a in simples]
+    if any(w.act(v) != a for v, a in zip(images, simples)):
+        raise RootSystemError("the stored inverse does not invert the element")
+    levels = tuple(v.level for v in images)
     if any(k < -1 for k in levels):
         raise RootSystemError(f"minimality fails: levels {levels}")
     expected_length = sum(m.bit_count() for m in ideal_powers(me.ideal))
@@ -369,7 +367,8 @@ def alcove_wall_types(me: MinimalElement) -> list[int]:
         image = g.act_wall(wall)
         side_values = [image.evaluate(rs, v) for v in verts]
         nonzero = [v for v in side_values if v != 0]
-        assert len(nonzero) == 1, "an alcove wall must contain all vertices but one"
+        if len(nonzero) != 1:
+            raise RootSystemError(f"alcove wall {image} does not contain all vertices but one")
         at_origin = -image.offset
         if at_origin != 0 and (nonzero[0] > 0) != (at_origin > 0):
             norm = image.normalized()

@@ -1,4 +1,5 @@
 from fractions import Fraction as Q
+from functools import reduce
 
 import pytest
 
@@ -89,6 +90,19 @@ def test_descents_match_length_drops(name, rng):
         for i in range(rs.rank + 1):
             drop = w.right_multiply(i).length() < n_len
             assert drop == (i in w.right_descents())
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "F4", "G2"])
+def test_elements_are_integer_matrices(name, rng):
+    rs = root_system(name)
+    gens = [AffineWeylElement.simple_reflection(rs, i) for i in range(rs.rank + 1)]
+    for _ in range(8):
+        word = random_word(rng, rs.rank, 12)
+        w = AffineWeylElement.from_word(rs, word)
+        for g in (w, w.inverse()):
+            assert all(type(x) is int for row in g.matrix for x in row)
+        assert (w * w.inverse()).is_identity
+        assert reduce(lambda u, i: u * gens[i], word, AffineWeylElement.identity(rs)) == w
 
 
 def test_word_from_non_inversion_set_raises():

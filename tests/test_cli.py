@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rootposets
 from rootposets.cli import main
 
 REPORTS = ("roots", "hasse", "ideals", "abelian", "classes", "covering")
@@ -134,3 +138,18 @@ def test_verify_report_to_file(tmp_path, capsys):
     assert code == 0
     text = target.read_text(encoding="utf-8")
     assert "0 failed" in text
+
+
+def test_verify_under_optimize_flag_matches():
+    """Invariants raise errors rather than assert, so `python -O` checks the same."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rootposets.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["-m", "rootposets.cli", "verify", "--suite", "ad", "--max-rank", "3"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env, timeout=120)
+        for flags in ((), ("-O",))
+    )
+    assert plain.returncode == 0, plain.stderr
+    assert optimized.returncode == 0, optimized.stderr
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout.splitlines()[-1].endswith(", 0 failed")

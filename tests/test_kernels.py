@@ -1,8 +1,12 @@
-import numpy as np
 import pytest
 
 from rootposets import _kernels
-from rootposets.affine import AffineWeylElement, word_from_inversion_set
+from rootposets.affine import (
+    AffineRoot,
+    AffineWeylElement,
+    affine_simple_roots,
+    word_from_inversion_set,
+)
 from rootposets.ideals import (
     enumerate_upper_ideals,
     sample_ideals,
@@ -10,91 +14,96 @@ from rootposets.ideals import (
 )
 from rootposets.rootsystem import root_system
 
-BACKENDS = ["numpy"] + (["numba"] if _kernels.HAS_NUMBA else [])
+# the peel takes any sequence of integer rows: tuples, or an int64 array
+ROW_FORMATS = ["tuples", "numpy"]
 
 
-def peel_fn(backend):
-    return _kernels.peel_numba if backend == "numba" else _kernels.peel_numpy
-
-
-def test_backend_dispatch_env_flag(monkeypatch):
-    monkeypatch.setenv("ROOTPOSETS_PURE_NUMPY", "1")
-    assert _kernels.kernel_backend() == "numpy"
-    monkeypatch.setenv("ROOTPOSETS_PURE_NUMPY", "0")
-    assert _kernels.kernel_backend() == ("numba" if _kernels.HAS_NUMBA else "numpy")
-    monkeypatch.delenv("ROOTPOSETS_PURE_NUMPY")
-    assert _kernels.kernel_backend() == ("numba" if _kernels.HAS_NUMBA else "numpy")
+def as_format(rows, fmt):
+    if fmt == "numpy":
+        np = pytest.importorskip("numpy")
+        return np.array(rows, dtype=np.int64)
+    return list(rows)
 
 
 def test_peel_tables_shapes(small_system):
-    n = small_system.rank
-    gvecs, uvecs, simples = _kernels.peel_tables(small_system)
-    for arr in (gvecs, uvecs, simples):
-        assert arr.shape == (n + 1, n + 1)
-        assert arr.dtype == np.int64
-    # finite generators carry Cartan rows and unit vectors
+    rs = small_system
+    n = rs.rank
+    tables = _kernels.peel_tables(rs)
+    for table in (tables.simples, tables.coroots):
+        assert len(table) == n + 1
+        assert all(len(row) == n + 1 for row in table)
+    assert tables.simples[0] == tuple(-c for c in rs.theta) + (1,)
     for j in range(1, n + 1):
-        assert list(gvecs[j, :n]) == list(small_system.cartan[j - 1])
-        assert uvecs[j, j - 1] == 1 and uvecs[j].sum() == 1
-    assert simples[0, n] == 1
+        assert tables.coroots[j] == rs.cartan[j - 1] + (0,)
+        assert tables.simples[j] == tuple(int(c == j - 1) for c in range(n + 1))
+    # h_j . a_i is the extended Cartan matrix; its off-diagonal support is the
+    # extended Dynkin diagram
+    edges = set()
+    for j, h in enumerate(tables.coroots):
+        assert h[n] == 0
+        for i, a in enumerate(tables.simples):
+            pairing = sum(x * y for x, y in zip(h, a))
+            if i == j:
+                assert pairing == 2
+            else:
+                assert pairing <= 0
+                assert ((i, pairing) in tables.links[j]) == (pairing != 0)
+                if pairing:
+                    edges.add(tuple(sorted((i, j))))
+    assert sorted(edges) == rs.extended_edges()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_peel_matches_reference_word(backend, small_system):
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+def test_peel_matches_reference_word(fmt, small_system):
     rs = small_system
     tables = _kernels.peel_tables(rs)
-    fn = peel_fn(backend)
+    simples = affine_simple_roots(rs)
     for ideal in enumerate_upper_ideals(rs):
         rows = target_inversion_rows(ideal)
-        peeled = fn(rows, *tables)
-        word = tuple(int(x) for x in peeled.tolist()[::-1])
-        element = AffineWeylElement.from_word(rs, word)
+        peeled = _kernels.peel(as_format(rows, fmt), tables)
+        reference = word_from_inversion_set(rs, [AffineRoot(r[:-1], r[-1]) for r in rows])
+        assert peeled.word == reference
+        # the independent oracle: the built element has exactly these inversions
+        element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
         inv = element.inversion_set()
-        assert len(inv) == rows.shape[0]
-        got = sorted(tuple(r) for r in rows.tolist())
-        want = sorted(tuple(ar.finite) + (ar.level,) for ar in inv)
-        assert got == want
+        assert len(inv) == len(rows)
+        assert {tuple(ar.finite) + (ar.level,) for ar in inv} == set(rows)
+        # the tracked images w^{-1}(alpha_i) agree with a rebuild from the word
+        rebuilt = AffineWeylElement.from_word(rs, peeled.word)
+        assert rebuilt == element
+        for a in simples:
+            assert element.inverse().act(a) == rebuilt.inverse().act(a)
+            assert element.act(element.inverse().act(a)) == a
 
 
-@pytest.mark.skipif(not _kernels.HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_on_samples():
-    for name in ("D4", "F4", "E6"):
-        rs = root_system(name)
-        tables = _kernels.peel_tables(rs)
-        for ideal in sample_ideals(rs, 40):
-            rows = target_inversion_rows(ideal)
-            a = _kernels.peel_numpy(rows, *tables)
-            b = _kernels.peel_numba(rows, *tables)
-            assert a.tolist() == b.tolist()
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_peel_rejects_non_inversion_set(backend):
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+def test_peel_rejects_non_inversion_set(fmt):
     rs = root_system("A2")
     tables = _kernels.peel_tables(rs)
     # theta alone at level 0: no simple affine root ever appears
-    rows = np.array([[1, 1, 0]], dtype=np.int64)
     with pytest.raises(_kernels.PeelError):
-        peel_fn(backend)(rows, *tables)
+        _kernels.peel(as_format([(1, 1, 0)], fmt), tables)
+    # a repeated row
+    with pytest.raises(_kernels.PeelError):
+        _kernels.peel(as_format([(1, 0, 0), (1, 0, 0)], fmt), tables)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_peel_does_not_mutate_input(backend):
+@pytest.mark.parametrize("fmt", ROW_FORMATS)
+def test_peel_does_not_mutate_input(fmt):
     rs = root_system("B3")
     ideal = enumerate_upper_ideals(rs)[5]
-    rows = target_inversion_rows(ideal)
-    before = rows.copy()
-    peel_fn(backend)(rows, *_kernels.peel_tables(rs))
-    assert np.array_equal(rows, before)
+    rows = as_format(target_inversion_rows(ideal), fmt)
+    before = [tuple(int(x) for x in row) for row in rows]
+    _kernels.peel(rows, _kernels.peel_tables(rs))
+    assert [tuple(int(x) for x in row) for row in rows] == before
 
 
 def test_peel_word_matches_pure_python_reference():
     rs = root_system("C3")
     tables = _kernels.peel_tables(rs)
     for ideal in sample_ideals(rs, 20):
-        rows = target_inversion_rows(ideal)
-        word = tuple(int(x) for x in _kernels.peel(rows, *tables).tolist()[::-1])
-        element = AffineWeylElement.from_word(rs, word)
+        peeled = _kernels.peel(target_inversion_rows(ideal), tables)
+        element = AffineWeylElement.from_word(rs, peeled.word)
         reference = word_from_inversion_set(rs, element.inversion_set())
         assert AffineWeylElement.from_word(rs, reference) == element
-        assert len(reference) == len(word)
+        assert len(reference) == len(peeled.word)
