@@ -15,15 +15,13 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from fractions import Fraction as Q
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
-from .affine import fundamental_alcove_vertices, is_in_closed_dilated_alcove
+from .affine import fundamental_alcove_vertices
 from .ideals import (
     IdealEdge,
-    MinimalElement,
     UpperIdeal,
     _bits,
     _order_masks,
@@ -81,7 +79,8 @@ def enumerate_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
 
     descend(0, (), 0, 0)
     out.sort(key=lambda ideal: (len(ideal), ideal.generators))
-    assert len(out) == 2**rs.rank, "Abelian ideal count must be 2^rank"
+    if len(out) != 2**rs.rank:
+        raise RootSystemError(f"found {len(out)} Abelian ideals, expected 2^rank")
     return tuple(out)
 
 
@@ -203,7 +202,8 @@ def hyperplane_meets_double_alcove(rs: RootSystem, gamma: Root) -> bool:
     the hyperplane meets the open simplex iff it is positive at some vertex.
     """
     values = [2 * rs.form(v, gamma) - 1 for v in fundamental_alcove_vertices(rs)]
-    assert values[0] == -1
+    if values[0] != -1:
+        raise RootSystemError(f"the form is {values[0]}, not -1, at the origin vertex")
     return max(values) > 0
 
 

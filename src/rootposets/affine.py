@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _kernels
 from ._kernels import Matrix

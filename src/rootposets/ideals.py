@@ -31,14 +31,13 @@ from . import _kernels
 from .affine import (
     AffineRoot,
     AffineWeylElement,
-    Wall,
     affine_simple_roots,
     fundamental_alcove_vertices,
     fundamental_alcove_walls,
     is_positive_affine,
 )
 from .posets import FinitePoset, IntPolynomial
-from .rootsystem import Root, RootSystem, RootSystemError, invert_exact
+from .rootsystem import Root, RootSystem, RootSystemError, cartan_inverse
 
 
 @dataclass(frozen=True)
@@ -329,11 +328,10 @@ def z_point(me: MinimalElement) -> tuple[int, ...]:
     rs = me.ideal.rs
     levels = check_minimal_element(me)
     n = rs.rank
-    cartan_t = [[Q(rs.cartan[j][i]) for j in range(n)] for i in range(n)]
-    inv = invert_exact(cartan_t)
+    inv = cartan_inverse(rs)  # z solves A^T z = k, and inv(A^T) = inv(A)^T
     z = []
     for i in range(n):
-        val = sum(inv[i][j] * levels[1 + j] for j in range(n))
+        val = sum(inv[j][i] * levels[1 + j] for j in range(n))
         if val.denominator != 1:
             raise RootSystemError(f"z-point is not integral: {val} in row {i}")
         z.append(int(val))

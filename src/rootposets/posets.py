@@ -90,10 +90,6 @@ class FinitePoset:
                     out.append((hi, lo))
         return sorted(out)
 
-    def covering_number(self, x) -> int:
-        i = self._index[x]
-        return sum(1 for hi, _ in self.cover_index_pairs() if hi == i)
-
     def covering_polynomial(self) -> "IntPolynomial":
         """ck_P(q) = sum over elements of q^(number of elements covered)."""
         kappa = Counter(hi for hi, _ in self.cover_index_pairs())

@@ -140,7 +140,8 @@ def expected_short_subdiagram_counts(rs: RootSystem) -> list[int]:
     longs = [r for r in rs.positive_roots if rs.is_long(r)]
     hs = set(_component_coxeter_numbers(rs, shorts))
     hl = set(_component_coxeter_numbers(rs, longs))
-    assert len(hs) == 1 and len(hl) == 1, "components of equal length classes share h"
+    if len(hs) != 1 or len(hl) != 1:
+        raise RootSystemError("components of equal length classes must share h")
     h_short, h_long = hs.pop(), hl.pop()
     return [
         h_short - 2 if rs.d[i] != 1 else rs.dual_h - h_long

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Root = tuple[int, ...]
 
@@ -104,7 +104,8 @@ def cartan_matrix(family: str, n: int) -> tuple[tuple[int, ...], ...]:
         form = -max(d[i], d[j])
         aij = form / d[i]  # <alpha_j, alpha_i^vee> = 2(alpha_i,alpha_j)/(alpha_i,alpha_i)
         aji = form / d[j]
-        assert aij.denominator == 1 and aji.denominator == 1
+        if aij.denominator != 1 or aji.denominator != 1:
+            raise RootSystemError(f"non-integral Cartan entry on the bond {i}-{j}")
         a[i][j] = int(aij)
         a[j][i] = int(aji)
     return tuple(tuple(row) for row in a)
@@ -133,6 +134,12 @@ def invert_exact(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
     return _solve_exact(matrix, eye)
 
 
+@lru_cache(maxsize=None)
+def cartan_inverse(rs: RootSystem) -> tuple[tuple[Q, ...], ...]:
+    """inv(A) for the Cartan matrix A of rs, exact and cached; inv(Aᵀ) = inv(A)ᵀ."""
+    return tuple(tuple(row) for row in invert_exact([[Q(c) for c in row] for row in rs.cartan]))
+
+
 class RootSystem:
     """A finite irreducible root system, built once and treated as immutable."""
 
@@ -143,33 +150,39 @@ class RootSystem:
         n = self.rank
         self.cartan = cartan_matrix(self.family, n)
         self.d = _length_numbers(self.family, n)
+        self._is_long: dict[Root, bool] = {}
         # Gram matrix (alpha_i, alpha_j) = d_i * cartan[i][j]; must be symmetric.
         self.gram = tuple(
             tuple(self.d[i] * self.cartan[i][j] for j in range(n)) for i in range(n)
         )
-        for i in range(n):
-            for j in range(n):
-                assert self.gram[i][j] == self.gram[j][i], "inconsistent Cartan data"
+        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
+            raise RootSystemError("inconsistent Cartan data")
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
         self.positive_roots = self._generate_positive_roots()
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        assert len(self.root_index) == len(self.positive_roots)
+        if len(self.root_index) != len(self.positive_roots):
+            raise RootSystemError("duplicate positive roots")
 
         self.theta = self.positive_roots[-1]
         top_height = self.height(self.theta)
-        assert sum(1 for r in self.positive_roots if self.height(r) == top_height) == 1
-        assert self.is_dominant(self.theta)
-        assert self.norm2(self.theta) == 2
+        if sum(1 for r in self.positive_roots if self.height(r) == top_height) != 1:
+            raise RootSystemError("the highest root is not unique")
+        if not self.is_dominant(self.theta):
+            raise RootSystemError("the highest root is not dominant")
+        if self.norm2(self.theta) != 2:
+            raise RootSystemError("the highest root is not long")
 
         self.h = top_height + 1
-        assert 2 * len(self.positive_roots) == n * self.h
+        if 2 * len(self.positive_roots) != n * self.h:
+            raise RootSystemError("2|Δ⁺| differs from rank times the Coxeter number")
 
         self.exponents = self._exponents()
         # theta^vee = theta in coroot coordinates: coefficients c_i^vee = d_i c_i.
         marks = [self.d[i] * self.theta[i] for i in range(n)]
-        assert all(m.denominator == 1 for m in marks)
+        if any(m.denominator != 1 for m in marks):
+            raise RootSystemError("non-integral coroot marks of theta")
         self.coroot_marks = tuple(int(m) for m in marks)
         self.dual_h = 1 + sum(self.coroot_marks)
 
@@ -212,14 +225,16 @@ class RootSystem:
         exps = tuple(
             sorted(sum(1 for k in range(1, self.h) if counts[k] >= j) for j in range(1, self.rank + 1))
         )
-        assert sum(exps) == len(self.positive_roots)
+        if sum(exps) != len(self.positive_roots):
+            raise RootSystemError("the exponents do not sum to |Δ⁺|")
         return exps
 
     def _dominant_short_root(self) -> Root:
         shorts = [r for r in self.positive_roots if self.is_dominant(r) and not self.is_long(r)]
         if not shorts:  # simply laced: every root is long and theta_s = theta
             return self.theta
-        assert len(shorts) == 1
+        if len(shorts) != 1:
+            raise RootSystemError(f"expected one dominant short root, got {shorts}")
         return shorts[0]
 
     # -- pairings ----------------------------------------------------------
@@ -239,7 +254,12 @@ class RootSystem:
         return self.form(x, x)
 
     def is_long(self, root: Root) -> bool:
-        return self.norm2(root) == 2
+        """Cached per distinct input, since each form costs n² Fraction products."""
+        key = tuple(root)
+        long = self._is_long.get(key)
+        if long is None:
+            long = self._is_long[key] = self.norm2(key) == 2
+        return long
 
     def height(self, root: Root) -> int:
         return sum(root)
@@ -275,7 +295,8 @@ class RootSystem:
         if not self.is_positive_root(gamma):
             raise RootSystemError(f"{gamma} is not a positive root")
         half = tuple(c // 2 for c in gamma)
-        assert half == (0,) * self.rank or self.is_positive_root(half)
+        if half != (0,) * self.rank and not self.is_positive_root(half):
+            raise RootSystemError(f"floor({gamma}/2) is neither 0 nor a positive root")
         return half
 
     # -- diagram data --------------------------------------------------------

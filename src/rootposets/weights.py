@@ -2,12 +2,12 @@
 
 Weights live in fundamental-weight coordinates (integer tuples).  The
 multiplicity function comes from the Freudenthal recursion in exact rational
-arithmetic; the total dimension is asserted against the Weyl dimension
-formula on every construction, so a silently incomplete weight set cannot
-survive.  Weight-diagram edges join weights differing by a simple root and
-carry multiplicity min of the endpoint multiplicities; the per-type counts
-can be recomputed independently through restriction to the sl2 of that
-simple root (`sl2_edge_count`).
+arithmetic; the total dimension is checked against the Weyl dimension
+formula on every construction (a mismatch raises `RootSystemError`), so a
+silently incomplete weight set cannot survive.  Weight-diagram edges join
+weights differing by a simple root and carry multiplicity min of the
+endpoint multiplicities; the per-type counts can be recomputed independently
+through restriction to the sl2 of that simple root (`sl2_edge_count`).
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .rootsystem import Root, RootSystem, RootSystemError, invert_exact
+from .rootsystem import Root, RootSystem, RootSystemError, cartan_inverse
 
 Weight = tuple[int, ...]
 
@@ -30,18 +29,13 @@ class WeightEdge(NamedTuple):
     multiplicity: int
 
 
-@lru_cache(maxsize=None)
-def _cartan_inverse(rs: RootSystem) -> tuple[tuple[Q, ...], ...]:
-    return tuple(tuple(row) for row in invert_exact([[Q(c) for c in row] for row in rs.cartan]))
-
-
 def _alpha_in_weight_coords(rs: RootSystem, i: int) -> Weight:
     """Fundamental-weight coordinates of alpha_i: column i of the Cartan matrix."""
     return tuple(rs.cartan[j][i] for j in range(rs.rank))
 
 
 def _to_root_coords(rs: RootSystem, weight: Sequence[int]) -> tuple[Q, ...]:
-    inv = _cartan_inverse(rs)
+    inv = cartan_inverse(rs)
     return tuple(sum(inv[i][j] * weight[j] for j in range(rs.rank)) for i in range(rs.rank))
 
 
@@ -73,7 +67,8 @@ def weyl_dimension(rs: RootSystem, highest: Weight) -> int:
     for gamma in rs.positive_roots:
         lam_rho = tuple(h + r for h, r in zip(highest, rho))
         num *= _form_weight_root(rs, lam_rho, gamma) / _form_weight_root(rs, rho, gamma)
-    assert num.denominator == 1
+    if num.denominator != 1:
+        raise RootSystemError(f"Weyl dimension formula gives the non-integer {num}")
     return int(num)
 
 
@@ -111,14 +106,16 @@ def weight_system(rs: RootSystem, highest: Weight) -> WeightSystem:
     mult = _freudenthal(rs, highest, set(weights), dominants)
     full = {w: mult[dominant_representative(rs, w)] for w in weights}
     ws = WeightSystem(rs, highest, full)
-    assert ws.dim == weyl_dimension(rs, highest), "multiplicities disagree with Weyl dimension"
+    if ws.dim != weyl_dimension(rs, highest):
+        raise RootSystemError("multiplicities disagree with Weyl dimension")
     return ws
 
 
 def _depth(rs: RootSystem, highest: Weight, weight: Weight) -> int:
     """Height of highest - weight as a nonnegative root-lattice element."""
     diff = _to_root_coords(rs, [h - w for h, w in zip(highest, weight)])
-    assert all(c.denominator == 1 and c >= 0 for c in diff)
+    if any(c.denominator != 1 or c < 0 for c in diff):
+        raise RootSystemError(f"{weight} is not below {highest} in the root lattice")
     return int(sum(diff))
 
 
@@ -164,9 +161,11 @@ def _freudenthal(
         lam_mu_root = _to_root_coords(rs, lam_mu)
         lam_mu_rho = [h + m + 2 for h, m in zip(highest, mu)]
         denom = _form_weight_root(rs, lam_mu_rho, lam_mu_root)
-        assert denom > 0, "Freudenthal denominator must be positive below the highest weight"
+        if denom <= 0:
+            raise RootSystemError("Freudenthal denominator must be positive below the highest weight")
         value = 2 * acc / denom
-        assert value.denominator == 1 and value >= 1
+        if value.denominator != 1 or value < 1:
+            raise RootSystemError(f"Freudenthal multiplicity of {mu} is {value}")
         mult[mu] = int(value)
     return mult
 
@@ -209,7 +208,8 @@ def sl2_edge_count(ws: WeightSystem, i: int) -> int:
     top = max(level) if level else 0
     for d in range(1, top + 1):
         n_d = level.get(d, 0) - level.get(d + 2, 0)
-        assert n_d >= 0
+        if n_d < 0:
+            raise RootSystemError(f"negative sl2 multiplicity at highest weight {d}")
         total += n_d * d
     return total
 

@@ -144,7 +144,7 @@ def test_verify_under_optimize_flag_matches():
     """Invariants raise errors rather than assert, so `python -O` checks the same."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(rootposets.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["-m", "rootposets.cli", "verify", "--suite", "ad", "--max-rank", "3"]
+    argv = ["-m", "rootposets.cli", "verify", "--suite", "all", "--max-rank", "4"]
     plain, optimized = (
         subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env, timeout=120)
         for flags in ((), ("-O",))
