@@ -19,7 +19,6 @@ from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple
 
-from .affine import fundamental_alcove_vertices
 from .ideals import (
     IdealEdge,
     UpperIdeal,
@@ -89,11 +88,25 @@ def abelian_poset(rs: RootSystem) -> FinitePoset:
     return FinitePoset(ideals, lambda a, b: a.mask & ~b.mask == 0, validate=False)
 
 
+@lru_cache(maxsize=None)
+def abelian_generator_types(rs: RootSystem) -> dict[int, dict[Root, int]]:
+    """{ideal.mask: generator_edge_types(minimal_element(ideal))} over the Abelian ideals of rs.
+
+    One minimal element per Abelian ideal and system; only the type dicts are
+    kept.  Keyed per system, since UpperIdeal equality ignores the system.
+    The cached dicts are shared: read them, do not mutate them.
+    """
+    return {
+        ideal.mask: generator_edge_types(minimal_element(ideal))
+        for ideal in enumerate_abelian_ideals(rs)
+    }
+
+
 def ab_typed_edges(rs: RootSystem) -> list[IdealEdge]:
+    types = abelian_generator_types(rs)
     edges = []
     for ideal in enumerate_abelian_ideals(rs):
-        me = minimal_element(ideal)
-        for gamma, t in generator_edge_types(me).items():
+        for gamma, t in types[ideal.mask].items():
             edges.append(IdealEdge(ideal, ideal.without_generator(gamma), t))
     return edges
 
@@ -139,13 +152,13 @@ class CommutativeRoot(NamedTuple):
 @lru_cache(maxsize=None)
 def commutative_roots(rs: RootSystem) -> tuple[CommutativeRoot, ...]:
     """Roots whose principal ideal is Abelian, with their edge classes."""
+    types = abelian_generator_types(rs)
     out = []
     for gamma in rs.positive_roots:
         ideal = principal_ideal(rs, gamma)
         if not ideal.is_abelian():
             continue
-        me = minimal_element(ideal)
-        out.append(CommutativeRoot(gamma, generator_edge_types(me)[gamma], ideal))
+        out.append(CommutativeRoot(gamma, types[ideal.mask][gamma], ideal))
     return tuple(out)
 
 
@@ -198,21 +211,20 @@ def noncommutative_maximal(rs: RootSystem) -> Root | None:
 def hyperplane_meets_double_alcove(rs: RootSystem, gamma: Root) -> bool:
     """Does {x : (x, gamma) = 1} meet the open double fundamental alcove?
 
-    The form is affine on the simplex and equals -1 at the origin vertex, so
-    the hyperplane meets the open simplex iff it is positive at some vertex.
+    (x, gamma) - 1 is affine on the simplex 2A: it is -1 at the origin vertex
+    and 2(v_k, gamma) - 1 at the vertex 2v_k, where v_k is the k-th fundamental
+    coweight over the mark theta_k, so (v_k, gamma) = gamma_k/theta_k.  The
+    hyperplane meets the open simplex iff some vertex value is positive, that
+    is iff 2*gamma_k > theta_k for some k.
     """
-    values = [2 * rs.form(v, gamma) - 1 for v in fundamental_alcove_vertices(rs)]
-    if values[0] != -1:
-        raise RootSystemError(f"the form is {values[0]}, not -1, at the origin vertex")
-    return max(values) > 0
+    return any(2 * g > t for g, t in zip(gamma, rs.theta))
 
 
 def check_class_independence(rs: RootSystem) -> dict[Root, int]:
     """Class of a commutative root recomputed in every Abelian ideal it generates."""
     observed: dict[Root, set[int]] = {}
-    for ideal in enumerate_abelian_ideals(rs):
-        me = minimal_element(ideal)
-        for gamma, t in generator_edge_types(me).items():
+    for types in abelian_generator_types(rs).values():
+        for gamma, t in types.items():
             observed.setdefault(gamma, set()).add(t)
     classes = class_map(rs)
     if set(observed) != set(classes):
@@ -427,10 +439,10 @@ def long_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
 def long_abelian_edge_type_counts(rs: RootSystem) -> list[int]:
     """Typed edges of the Hasse diagram restricted to long Abelian ideals."""
     masks = {ideal.mask for ideal in long_abelian_ideals(rs)}
+    types = abelian_generator_types(rs)
     counts = [0] * (rs.rank + 1)
     for ideal in long_abelian_ideals(rs):
-        me = minimal_element(ideal)
-        for gamma, t in generator_edge_types(me).items():
+        for gamma, t in types[ideal.mask].items():
             if ideal.without_generator(gamma).mask in masks:
                 counts[t] += 1
     return counts

@@ -10,6 +10,7 @@ attached to the chain (E6 at node 3, E7 at node 4, E8 at node 5) and F4 is
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -151,6 +152,13 @@ class RootSystem:
         self.cartan = cartan_matrix(self.family, n)
         self.d = _length_numbers(self.family, n)
         self._is_long: dict[Root, bool] = {}
+        # For `form`: D = lcm of the denominators of the d_i (1, 2 or 3),
+        # e_i = D*d_i, and the nonzero (j, cartan[i][j]) of each Cartan row.
+        self._form_denominator = math.lcm(*(di.denominator for di in self.d))
+        self._form_weights = tuple(int(self._form_denominator * di) for di in self.d)
+        self._cartan_support = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
+        )
         # Gram matrix (alpha_i, alpha_j) = d_i * cartan[i][j]; must be symmetric.
         self.gram = tuple(
             tuple(self.d[i] * self.cartan[i][j] for j in range(n)) for i in range(n)
@@ -244,17 +252,23 @@ class RootSystem:
         return sum(self.cartan[i][j] * x[j] for j in range(self.rank))
 
     def form(self, x: Sequence, y: Sequence) -> Q:
-        """Invariant bilinear form (x, y), exact."""
-        return sum(
-            (Q(x[i]) * self.gram[i][j] * y[j] for i in range(self.rank) for j in range(self.rank)),
-            Q(0),
-        )
+        """Invariant bilinear form (x, y) = sum_i x_i*d_i*<y, alpha_i^vee>, exact.
+
+        Equal to sum_ij x_i*gram[i][j]*y_j, since gram[i][j] = d_i*cartan[i][j],
+        but scaled by D so that integer arguments cost O(n) integer products and
+        one Fraction; rational arguments (coweights) give the same exact value.
+        """
+        total = 0
+        for xi, ei, support in zip(x, self._form_weights, self._cartan_support):
+            if xi:
+                total += xi * ei * sum(a * y[j] for j, a in support)
+        return Q(total, self._form_denominator)
 
     def norm2(self, x: Sequence) -> Q:
         return self.form(x, x)
 
     def is_long(self, root: Root) -> bool:
-        """Cached per distinct input, since each form costs n² Fraction products."""
+        """Cached per distinct input."""
         key = tuple(root)
         long = self._is_long.get(key)
         if long is None:

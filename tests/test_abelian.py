@@ -1,9 +1,11 @@
 import pytest
 
+from rootposets import abelian
 from rootposets.abelian import (
     ab_covering_polynomial,
     ab_edge_type_counts,
     ab_typed_edges,
+    abelian_generator_types,
     abelian_poset,
     boolean_lattice_covering_polynomial,
     check_adjacent_classes,
@@ -27,10 +29,20 @@ from rootposets.abelian import (
     noncommutative_maximal,
     suter_tau,
 )
-from rootposets.ideals import empty_ideal, ideal_from_roots, principal_ideal
+from rootposets.affine import fundamental_alcove_vertices
+from rootposets.ideals import (
+    empty_ideal,
+    generator_edge_types,
+    ideal_from_roots,
+    minimal_element,
+    principal_ideal,
+)
 from rootposets.posets import IntPolynomial
 from rootposets.rootposet import delta_covering_polynomial
-from rootposets.rootsystem import RootSystemError, root_system
+from rootposets.rootsystem import RootSystemError, admissible_systems, root_system
+
+ALL_IDS = [str(sid) for sid in admissible_systems(8)]
+TABLE_IDS = [str(sid) for sid in admissible_systems(6)] + ["E8"]  # rank <= 6 includes F4
 
 
 def test_abelian_counts_are_powers_of_two(small_system):
@@ -135,6 +147,64 @@ def test_hyperplane_criterion(small_system):
     commutative = {rec.root for rec in commutative_roots(rs)}
     for gamma in rs.positive_roots:
         assert hyperplane_meets_double_alcove(rs, gamma) == (gamma in commutative)
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_hyperplane_criterion_matches_alcove_vertices(name):
+    """The coordinate test 2*gamma_k > theta_k against the form at the vertices of A."""
+    rs = root_system(name)
+    vertices = fundamental_alcove_vertices(rs)
+    for gamma in rs.positive_roots:
+        values = [2 * rs.form(v, gamma) - 1 for v in vertices]
+        assert values[0] == -1
+        assert hyperplane_meets_double_alcove(rs, gamma) == (max(values) > 0)
+
+
+@pytest.mark.parametrize("name", TABLE_IDS)
+def test_generator_type_table_matches_fresh_typing(name):
+    rs = root_system(name)
+    table = abelian_generator_types(rs)
+    ideals = enumerate_abelian_ideals(rs)
+    assert set(table) == {ideal.mask for ideal in ideals}
+    for ideal in ideals:
+        assert table[ideal.mask] == generator_edge_types(minimal_element(ideal))
+
+
+def test_generator_type_table_is_per_system():
+    # UpperIdeal equality ignores the system: some B3 and C3 Abelian ideals
+    # compare equal but have different minimal words and edge types.
+    b3, c3 = root_system("B3"), root_system("C3")
+    c3_ideals = {ideal: ideal for ideal in enumerate_abelian_ideals(c3)}
+    shared = [(ideal, c3_ideals[ideal]) for ideal in enumerate_abelian_ideals(b3) if ideal in c3_ideals]
+    assert any(minimal_element(b).word != minimal_element(c).word for b, c in shared)
+    assert any(
+        abelian_generator_types(b3)[b.mask] != abelian_generator_types(c3)[c.mask] for b, c in shared
+    )
+    for b, c in shared:
+        assert abelian_generator_types(b3)[b.mask] == generator_edge_types(minimal_element(b))
+        assert abelian_generator_types(c3)[c.mask] == generator_edge_types(minimal_element(c))
+
+
+def test_one_minimal_element_per_abelian_ideal(monkeypatch):
+    rs = root_system("F4")
+    calls = []
+
+    def counted(ideal):
+        calls.append((str(ideal.rs.id), ideal.mask))
+        return minimal_element(ideal)
+
+    monkeypatch.setattr(abelian, "minimal_element", counted)
+    abelian.abelian_generator_types.cache_clear()
+    abelian.commutative_roots.cache_clear()
+    try:
+        ab_typed_edges(rs)
+        commutative_roots(rs)
+        check_class_independence(rs)
+        long_abelian_edge_type_counts(rs)
+    finally:
+        abelian.abelian_generator_types.cache_clear()
+        abelian.commutative_roots.cache_clear()
+    assert sorted(calls) == sorted(("F4", ideal.mask) for ideal in enumerate_abelian_ideals(rs))
 
 
 def test_suter_tau_a2_orbit():

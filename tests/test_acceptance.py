@@ -1,10 +1,12 @@
 """Acceptance gate: one test per required behavior, each read from the single verify report.
 
 ``verify --suite all --max-rank 8`` runs once per module, and each ``test_cNN`` expects its report lines to
-be present and PASS (``…`` stands for observed or elided text).  Per-suite line counts and the summary line
-are pinned, so no check can silently disappear.  Only the timing bounds call the library in-process.
+be present and PASS (``…`` stands for observed or elided text).  Per-suite line counts, the summary line and
+the sha256 of the whole report are pinned, so no check can silently disappear and no byte can silently
+change.  Only the timing bounds call the library in-process.
 """
 
+import hashlib
 import os
 import re
 import subprocess
@@ -18,6 +20,8 @@ from rootposets import ideals, root_system, rootposet, verify
 
 SYSTEMS = "A1 A2 A3 A4 A5 A6 A7 A8 B2 B3 B4 B5 B6 B7 B8 C2 C3 C4 C5 C6 C7 C8 D3 D4 D5 D6 D7 D8 E6 E7 E8 F4 G2"
 SUITE_LINES = {"delta": 66, "weights": 131, "ad": 141, "abelian": 334, "covering": 149}
+# sha256 of the whole report; a change that alters the report by design updates this pin and says why.
+REPORT_SHA256 = "e4da9057c3bd88dd8c3dcdeacd4501ac282364dc20d3d7044fbc195671a46422"
 
 
 def each(*templates: str, families: str = "ABCDEFG", ranks=range(1, 9)) -> list[str]:
@@ -121,6 +125,7 @@ def test_c15_verification_cli_performance_envelope(full_run):
     run, elapsed = full_run
     assert run.returncode == 0 and run.stdout.splitlines()[-1] == "821 passed, 0 failed", run.stderr[-2000:]
     assert elapsed <= 600.0 and Counter(re.findall(r"^(?:PASS|FAIL)  (\w+):", run.stdout, re.M)) == SUITE_LINES
+    assert hashlib.sha256(run.stdout.encode()).hexdigest() == REPORT_SHA256
     quick, elapsed = run_verify(4, timeout=60)
     assert quick.returncode == 0 and quick.stdout.splitlines()[-1].endswith(", 0 failed"), quick.stderr[-2000:]
     assert elapsed <= 30.0

@@ -10,6 +10,8 @@ from rootposets.rootsystem import (
     root_system,
 )
 
+ALL_IDS = [str(sid) for sid in admissible_systems(8)]
+
 POSITIVE_ROOT_COUNTS = {
     "A3": 6,
     "B3": 9,
@@ -170,3 +172,23 @@ def test_fundamental_coweights(small_system):
     for i in range(rs.rank):
         for j in range(rs.rank):
             assert rs.form(cw[i], rs.simple_roots[j]) == (1 if i == j else 0)
+
+
+def reference_form(rs, x, y):
+    """The Gram double sum sum_ij x_i*gram[i][j]*y_j, in Fractions."""
+    n = rs.rank
+    return sum((Q(x[i]) * rs.gram[i][j] * y[j] for i in range(n) for j in range(n)), Q(0))
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_form_matches_gram_double_sum(name):
+    rs = root_system(name)
+    integral = list(rs.simple_roots) + [rs.theta]
+    for x in integral:
+        for y in integral:
+            got = rs.form(x, y)
+            assert type(got) is Q and got == reference_form(rs, x, y)
+    for cw in rs.fundamental_coweights():
+        for root in rs.positive_roots:
+            assert rs.form(cw, root) == reference_form(rs, cw, root)
+            assert rs.form(root, cw) == reference_form(rs, root, cw)
