@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from functools import lru_cache
 from importlib import resources
 from typing import Iterable, NamedTuple
@@ -22,13 +21,16 @@ from typing import Iterable, NamedTuple
 from .ideals import (
     IdealEdge,
     UpperIdeal,
+    _antichain_ideals,
     _bits,
-    _order_masks,
     _sum_table,
-    generator_edge_types,
+    generator_count_polynomial,
+    generator_types,
     ideal_from_mask,
-    minimal_element,
+    inclusion_poset,
     principal_ideal,
+    type_counts,
+    typed_edges,
 )
 from .posets import FinitePoset, IntPolynomial
 from .rootsystem import Root, RootSystem, RootSystemError
@@ -59,63 +61,37 @@ def _sums_with(rs: RootSystem) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def enumerate_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
     """All Abelian upper ideals (count 2^rank), via pruned antichain search."""
-    pos = rs.positive_roots
-    up, comp = _order_masks(rs)
     sums = _sums_with(rs)
-    m = len(pos)
-    out: list[UpperIdeal] = []
 
-    def descend(start: int, gens: tuple[int, ...], mask: int, blocked: int) -> None:
-        out.append(UpperIdeal(rs, mask, tuple(sorted(pos[g] for g in gens))))
-        for i in range(start, m):
-            if blocked >> i & 1:
-                continue
-            new_mask = mask | up[i]
-            added = new_mask & ~mask
-            if any(sums[j] & new_mask for j in _bits(added)):
-                continue
-            descend(i + 1, gens + (i,), new_mask, blocked | comp[i])
+    def stays_abelian(mask: int, new_mask: int) -> bool:
+        return not any(sums[j] & new_mask for j in _bits(new_mask & ~mask))
 
-    descend(0, (), 0, 0)
-    out.sort(key=lambda ideal: (len(ideal), ideal.generators))
+    out = _antichain_ideals(rs, stays_abelian)
     if len(out) != 2**rs.rank:
         raise RootSystemError(f"found {len(out)} Abelian ideals, expected 2^rank")
-    return tuple(out)
+    return out
 
 
 def abelian_poset(rs: RootSystem) -> FinitePoset:
-    ideals = enumerate_abelian_ideals(rs)
-    return FinitePoset(ideals, lambda a, b: a.mask & ~b.mask == 0, validate=False)
+    return inclusion_poset(enumerate_abelian_ideals(rs))
 
 
 @lru_cache(maxsize=None)
 def abelian_generator_types(rs: RootSystem) -> dict[int, dict[Root, int]]:
-    """{ideal.mask: generator_edge_types(minimal_element(ideal))} over the Abelian ideals of rs.
+    """`generator_types` of the Abelian ideals of rs: one minimal element per ideal.
 
-    One minimal element per Abelian ideal and system; only the type dicts are
-    kept.  Keyed per system, since UpperIdeal equality ignores the system.
-    The cached dicts are shared: read them, do not mutate them.
+    Cached per system and keyed by mask.  The cached dicts are shared: read
+    them, do not mutate them.
     """
-    return {
-        ideal.mask: generator_edge_types(minimal_element(ideal))
-        for ideal in enumerate_abelian_ideals(rs)
-    }
+    return generator_types(enumerate_abelian_ideals(rs))
 
 
 def ab_typed_edges(rs: RootSystem) -> list[IdealEdge]:
-    types = abelian_generator_types(rs)
-    edges = []
-    for ideal in enumerate_abelian_ideals(rs):
-        for gamma, t in types[ideal.mask].items():
-            edges.append(IdealEdge(ideal, ideal.without_generator(gamma), t))
-    return edges
+    return typed_edges(enumerate_abelian_ideals(rs), abelian_generator_types(rs))
 
 
 def ab_edge_type_counts(rs: RootSystem) -> list[int]:
-    counts = [0] * (rs.rank + 1)
-    for e in ab_typed_edges(rs):
-        counts[e.type_index] += 1
-    return counts
+    return type_counts(rs, abelian_generator_types(rs))
 
 
 def expected_ab_edge_count(rs: RootSystem) -> int:
@@ -441,9 +417,9 @@ def long_abelian_edge_type_counts(rs: RootSystem) -> list[int]:
     masks = {ideal.mask for ideal in long_abelian_ideals(rs)}
     types = abelian_generator_types(rs)
     counts = [0] * (rs.rank + 1)
-    for ideal in long_abelian_ideals(rs):
-        for gamma, t in types[ideal.mask].items():
-            if ideal.without_generator(gamma).mask in masks:
+    for mask in masks:
+        for gamma, t in types[mask].items():
+            if (mask & ~(1 << rs.root_index[gamma])) in masks:
                 counts[t] += 1
     return counts
 
@@ -458,8 +434,7 @@ def expected_long_abelian_count(rs: RootSystem) -> int:
 
 
 def ab_covering_polynomial(rs: RootSystem) -> IntPolynomial:
-    counts = Counter(len(ideal.generators) for ideal in enumerate_abelian_ideals(rs))
-    return IntPolynomial.from_counts(counts)
+    return generator_count_polynomial(enumerate_abelian_ideals(rs))
 
 
 def expected_ab_covering_polynomial(rs: RootSystem) -> IntPolynomial:

@@ -31,9 +31,6 @@ class AffineRoot(NamedTuple):
     finite: Root
     level: int
 
-    def negate(self) -> "AffineRoot":
-        return AffineRoot(tuple(-c for c in self.finite), -self.level)
-
 
 def is_positive_affine(ar: AffineRoot) -> bool:
     if ar.level != 0:
@@ -95,10 +92,6 @@ class AffineWeylElement:
 
     # -- group structure ------------------------------------------------------
 
-    def right_multiply(self, i: int) -> "AffineWeylElement":
-        """w * s_i."""
-        return _times_word(self.rs, self.matrix, self.inverse_matrix, (i,))
-
     def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
         if self.rs is not other.rs:
             raise RootSystemError("cannot compose elements of different systems")
@@ -110,10 +103,6 @@ class AffineWeylElement:
 
     def inverse(self) -> "AffineWeylElement":
         return AffineWeylElement(self.rs, self.inverse_matrix, self.matrix)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.matrix == _frozen(_kernels.identity_rows(self.rs.rank + 1))
 
     # -- actions ---------------------------------------------------------------
 
@@ -263,10 +252,3 @@ def fundamental_alcove_vertices(rs: RootSystem) -> tuple[Vector, ...]:
     for i in range(rs.rank):
         verts.append(tuple(c / rs.theta[i] for c in coweights[i]))
     return tuple(verts)
-
-
-def is_in_closed_dilated_alcove(rs: RootSystem, x: Sequence[Q], factor: int) -> bool:
-    """Membership in the closure of factor * (fundamental alcove)."""
-    if any(rs.form(x, a) < 0 for a in rs.simple_roots):
-        return False
-    return rs.form(x, rs.theta) <= factor

@@ -16,16 +16,18 @@ Hasse edges of the ideal poset carry a type in {0..n}: removing a generator
 gamma from I yields an edge whose type is the affine simple root w(gamma -
 delta).  The same multiset of types is recovered three more ways (facets of
 the integral point z, separating walls of w^{-1}*A, left descents of w).
+The Abelian ideals (`abelian`) share the antichain search and the typing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
 from .affine import (
@@ -42,9 +44,13 @@ from .rootsystem import Root, RootSystem, RootSystemError, cartan_inverse
 
 @dataclass(frozen=True)
 class UpperIdeal:
-    """An upward-closed subset of the positive roots."""
+    """An upward-closed subset of the positive roots.
 
-    rs: RootSystem = field(repr=False, compare=False)
+    Ideals of different systems never compare equal; the hash covers only the
+    integer fields.
+    """
+
+    rs: RootSystem = field(repr=False, hash=False)
     mask: int
     generators: tuple[Root, ...]
 
@@ -152,9 +158,14 @@ def empty_ideal(rs: RootSystem) -> UpperIdeal:
     return UpperIdeal(rs, 0, ())
 
 
-@lru_cache(maxsize=None)
-def enumerate_upper_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
-    """All upper ideals, one per antichain, sorted by size then generators."""
+def _antichain_ideals(
+    rs: RootSystem, admit: Callable[[int, int], bool] | None = None
+) -> tuple[UpperIdeal, ...]:
+    """Upper ideals by antichain search, sorted by size then generators.
+
+    Generators are added in index order; `admit(mask, new_mask)` may refuse
+    the step from one ideal to the next, which prunes every ideal above it.
+    """
     pos = rs.positive_roots
     up, comp = _order_masks(rs)
     m = len(pos)
@@ -163,12 +174,21 @@ def enumerate_upper_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
     def descend(start: int, gens: tuple[int, ...], mask: int, blocked: int) -> None:
         out.append(UpperIdeal(rs, mask, tuple(sorted(pos[g] for g in gens))))
         for i in range(start, m):
-            if not blocked >> i & 1:
-                descend(i + 1, gens + (i,), mask | up[i], blocked | comp[i])
+            if blocked >> i & 1:
+                continue
+            new_mask = mask | up[i]
+            if admit is None or admit(mask, new_mask):
+                descend(i + 1, gens + (i,), new_mask, blocked | comp[i])
 
     descend(0, (), 0, 0)
     out.sort(key=lambda ideal: (len(ideal), ideal.generators))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def enumerate_upper_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
+    """All upper ideals, one per antichain, sorted by size then generators."""
+    return _antichain_ideals(rs)
 
 
 def expected_ideal_count(rs: RootSystem) -> int:
@@ -307,20 +327,36 @@ def generator_edge_types(me: MinimalElement) -> dict[Root, int]:
     return out
 
 
+def generator_types(batch: Iterable[UpperIdeal]) -> dict[int, dict[Root, int]]:
+    """{ideal.mask: generator_edge_types(minimal_element(ideal))} over ideals of one system."""
+    return {ideal.mask: generator_edge_types(minimal_element(ideal)) for ideal in batch}
+
+
+def typed_edges(batch: Iterable[UpperIdeal], types: dict[int, dict[Root, int]]) -> list[IdealEdge]:
+    """The edges I -> I \\ {gamma} of a batch, typed by its `generator_types`."""
+    return [
+        IdealEdge(ideal, ideal.without_generator(gamma), t)
+        for ideal in batch
+        for gamma, t in types[ideal.mask].items()
+    ]
+
+
+def type_counts(rs: RootSystem, types: dict[int, dict[Root, int]]) -> list[int]:
+    """Number of edges of each type 0..n, read from `generator_types`."""
+    counts = [0] * (rs.rank + 1)
+    for ideal_types in types.values():
+        for t in ideal_types.values():
+            counts[t] += 1
+    return counts
+
+
 def ad_typed_edges(rs: RootSystem) -> list[IdealEdge]:
-    edges = []
-    for ideal in enumerate_upper_ideals(rs):
-        me = minimal_element(ideal)
-        for gamma, t in generator_edge_types(me).items():
-            edges.append(IdealEdge(ideal, ideal.without_generator(gamma), t))
-    return edges
+    batch = enumerate_upper_ideals(rs)
+    return typed_edges(batch, generator_types(batch))
 
 
 def ad_edge_type_counts(rs: RootSystem) -> list[int]:
-    counts = [0] * (rs.rank + 1)
-    for e in ad_typed_edges(rs):
-        counts[e.type_index] += 1
-    return counts
+    return type_counts(rs, generator_types(enumerate_upper_ideals(rs)))
 
 
 def z_point(me: MinimalElement) -> tuple[int, ...]:
@@ -381,17 +417,19 @@ def descent_types(me: MinimalElement) -> set[int]:
     return me.element.inverse().right_descents()
 
 
+def generator_count_polynomial(batch: Iterable[UpperIdeal]) -> IntPolynomial:
+    """Sum over the batch of q^(number of generators)."""
+    return IntPolynomial.from_counts(Counter(len(ideal.generators) for ideal in batch))
+
+
 def narayana_polynomial(rs: RootSystem) -> IntPolynomial:
     """Generator-count generating function of the ideal poset."""
-    from collections import Counter
-
-    counts = Counter(len(ideal.generators) for ideal in enumerate_upper_ideals(rs))
-    return IntPolynomial.from_counts(counts)
+    return generator_count_polynomial(enumerate_upper_ideals(rs))
 
 
-def ideal_poset(rs: RootSystem) -> FinitePoset:
-    ideals = enumerate_upper_ideals(rs)
-    return FinitePoset(ideals, lambda a, b: a.mask & ~b.mask == 0, validate=False)
+def inclusion_poset(batch: Sequence[UpperIdeal]) -> FinitePoset:
+    """The ideals of a batch ordered by inclusion."""
+    return FinitePoset(batch, lambda a, b: a.mask & ~b.mask == 0, validate=False)
 
 
 def sample_ideals(rs: RootSystem, count: int, seed: int = 2004) -> list[UpperIdeal]:

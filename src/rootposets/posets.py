@@ -95,9 +95,6 @@ class FinitePoset:
         kappa = Counter(hi for hi, _ in self.cover_index_pairs())
         return IntPolynomial.from_counts(Counter(kappa.get(i, 0) for i in range(len(self._elements))))
 
-    def minimal_elements(self) -> list:
-        return [x for i, x in enumerate(self._elements) if self._down[i] == 1 << i]
-
 
 class IntPolynomial:
     """Integer polynomial in one variable q, stored dense without trailing zeros."""
@@ -126,9 +123,6 @@ class IntPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def derivative_at_one(self) -> int:
-        return sum(k * c for k, c in enumerate(self.coeffs))
 
     def is_palindromic(self, degree: int | None = None) -> bool:
         """Palindromic over the stated degree (defaults to the actual degree)."""

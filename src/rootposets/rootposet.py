@@ -8,7 +8,7 @@ suite holds the computed diagram against.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 from .posets import FinitePoset, IntPolynomial
 from .rootsystem import Root, RootSystem, RootSystemError
@@ -20,15 +20,22 @@ class TypedEdge(NamedTuple):
     type_index: int  # upper - lower = alpha_{type_index} (0-based simple index)
 
 
-def typed_hasse_edges(rs: RootSystem) -> list[TypedEdge]:
-    """All Hasse edges of (Δ⁺, ⪯), deterministically ordered."""
+def _simple_root_edges(
+    rs: RootSystem, roots: Iterable[Root], members: Container[Root]
+) -> list[TypedEdge]:
+    """Edges lower -> lower + alpha_i for lower in `roots` and the sum in `members`."""
     edges = []
-    for lower in rs.positive_roots:
+    for lower in roots:
         for i in range(rs.rank):
             upper = tuple(c + (1 if j == i else 0) for j, c in enumerate(lower))
-            if rs.is_positive_root(upper):
+            if upper in members:
                 edges.append(TypedEdge(upper, lower, i))
     return sorted(edges, key=lambda e: (rs.height(e.upper), e.upper, e.lower))
+
+
+def typed_hasse_edges(rs: RootSystem) -> list[TypedEdge]:
+    """All Hasse edges of (Δ⁺, ⪯), deterministically ordered."""
+    return _simple_root_edges(rs, rs.positive_roots, rs.root_index)
 
 
 def edge_type_counts(rs: RootSystem) -> list[int]:
@@ -115,14 +122,7 @@ def short_root_subdiagram(rs: RootSystem) -> tuple[list[Root], list[TypedEdge]]:
     if not rs.short_simple_indices:
         raise RootSystemError(f"{rs.id} is simply laced: no short-root subdiagram")
     shorts = [r for r in rs.positive_roots if not rs.is_long(r)]
-    short_set = set(shorts)
-    edges = []
-    for lower in shorts:
-        for i in range(rs.rank):
-            upper = tuple(c + (1 if j == i else 0) for j, c in enumerate(lower))
-            if upper in short_set:
-                edges.append(TypedEdge(upper, lower, i))
-    return shorts, sorted(edges, key=lambda e: (rs.height(e.upper), e.upper, e.lower))
+    return shorts, _simple_root_edges(rs, shorts, set(shorts))
 
 
 def short_subdiagram_type_counts(rs: RootSystem) -> list[int]:

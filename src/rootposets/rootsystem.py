@@ -112,11 +112,14 @@ def cartan_matrix(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in a)
 
 
-def _solve_exact(matrix: Sequence[Sequence[Q]], rhs: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    """Solve matrix @ X = rhs by fraction-exact Gaussian elimination."""
-    n = len(matrix)
-    aug = [[Q(x) for x in row] + [Q(x) for x in rrow] for row, rrow in zip(matrix, rhs)]
-    width = len(aug[0])
+@lru_cache(maxsize=None)
+def cartan_inverse(rs: RootSystem) -> tuple[tuple[Q, ...], ...]:
+    """inv(A) for the Cartan matrix A of rs, exact and cached; inv(Aᵀ) = inv(A)ᵀ.
+
+    Fraction-exact Gauss-Jordan elimination on [A | 1].
+    """
+    n = rs.rank
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(rs.cartan)]
     for col in range(n):
         pivot = next(r for r in range(col, n) if aug[r][col] != 0)
         aug[col], aug[pivot] = aug[pivot], aug[col]
@@ -126,19 +129,7 @@ def _solve_exact(matrix: Sequence[Sequence[Q]], rhs: Sequence[Sequence[Q]]) -> l
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:width] for row in aug]
-
-
-def invert_exact(matrix: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    n = len(matrix)
-    eye = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    return _solve_exact(matrix, eye)
-
-
-@lru_cache(maxsize=None)
-def cartan_inverse(rs: RootSystem) -> tuple[tuple[Q, ...], ...]:
-    """inv(A) for the Cartan matrix A of rs, exact and cached; inv(Aᵀ) = inv(A)ᵀ."""
-    return tuple(tuple(row) for row in invert_exact([[Q(c) for c in row] for row in rs.cartan]))
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 class RootSystem:
@@ -278,22 +269,11 @@ class RootSystem:
     def height(self, root: Root) -> int:
         return sum(root)
 
-    def reflect(self, x: Sequence, i: int):
-        """Simple reflection s_i(x) = x - <x, alpha_i^vee> alpha_i."""
-        if not 0 <= i < self.rank:
-            raise RootSystemError(f"simple root index {i} out of range")
-        c = self.pairing(x, i)
-        return tuple(x[j] - c if j == i else x[j] for j in range(self.rank))
-
     def is_dominant(self, x: Sequence) -> bool:
         return all(self.pairing(x, i) >= 0 for i in range(self.rank))
 
     def is_positive_root(self, x: Sequence) -> bool:
         return tuple(x) in self.root_index
-
-    def is_root(self, x: Sequence) -> bool:
-        t = tuple(x)
-        return t in self.root_index or tuple(-c for c in t) in self.root_index
 
     def all_roots(self) -> list[Root]:
         return list(self.positive_roots) + [tuple(-c for c in r) for r in self.positive_roots]
@@ -337,9 +317,12 @@ class RootSystem:
         return tuple(i for i in range(self.rank) if self.d[i] != 1)
 
     def fundamental_coweights(self) -> tuple[tuple[Q, ...], ...]:
-        """Root coordinates of the fundamental coweights; (pi_i^vee, alpha_j) = delta_ij."""
-        inv = invert_exact(self.gram)
-        return tuple(tuple(inv[j][i] for j in range(self.rank)) for i in range(self.rank))
+        """Root coordinates of the fundamental coweights; (pi_i^vee, alpha_j) = delta_ij.
+
+        The Gram matrix is diag(d)*A, so its inverse is inv(A)*diag(d)^-1.
+        """
+        inv = cartan_inverse(self)
+        return tuple(tuple(inv[j][i] / self.d[i] for j in range(self.rank)) for i in range(self.rank))
 
     def __repr__(self) -> str:
         return f"RootSystem({self.id})"

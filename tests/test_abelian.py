@@ -171,11 +171,17 @@ def test_generator_type_table_matches_fresh_typing(name):
 
 
 def test_generator_type_table_is_per_system():
-    # UpperIdeal equality ignores the system: some B3 and C3 Abelian ideals
-    # compare equal but have different minimal words and edge types.
+    # Some B3 and C3 Abelian ideals share mask and generators but have
+    # different minimal words and edge types; they must not compare equal.
     b3, c3 = root_system("B3"), root_system("C3")
-    c3_ideals = {ideal: ideal for ideal in enumerate_abelian_ideals(c3)}
-    shared = [(ideal, c3_ideals[ideal]) for ideal in enumerate_abelian_ideals(b3) if ideal in c3_ideals]
+    c3_ideals = {(ideal.mask, ideal.generators): ideal for ideal in enumerate_abelian_ideals(c3)}
+    shared = [
+        (ideal, c3_ideals[ideal.mask, ideal.generators])
+        for ideal in enumerate_abelian_ideals(b3)
+        if (ideal.mask, ideal.generators) in c3_ideals
+    ]
+    assert shared
+    assert all(b != c for b, c in shared)
     assert any(minimal_element(b).word != minimal_element(c).word for b, c in shared)
     assert any(
         abelian_generator_types(b3)[b.mask] != abelian_generator_types(c3)[c.mask] for b, c in shared
@@ -193,11 +199,12 @@ def test_one_minimal_element_per_abelian_ideal(monkeypatch):
         calls.append((str(ideal.rs.id), ideal.mask))
         return minimal_element(ideal)
 
-    monkeypatch.setattr(abelian, "minimal_element", counted)
+    monkeypatch.setattr("rootposets.ideals.minimal_element", counted)
     abelian.abelian_generator_types.cache_clear()
     abelian.commutative_roots.cache_clear()
     try:
         ab_typed_edges(rs)
+        ab_edge_type_counts(rs)
         commutative_roots(rs)
         check_class_independence(rs)
         long_abelian_edge_type_counts(rs)

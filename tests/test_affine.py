@@ -10,7 +10,6 @@ from rootposets.affine import (
     affine_simple_roots,
     fundamental_alcove_vertices,
     fundamental_alcove_walls,
-    is_in_closed_dilated_alcove,
     is_positive_affine,
     word_from_inversion_set,
 )
@@ -28,7 +27,7 @@ def test_simple_reflections_are_involutions(name):
     rs = root_system(name)
     for i in range(rs.rank + 1):
         s = AffineWeylElement.simple_reflection(rs, i)
-        assert (s * s).is_identity
+        assert s * s == AffineWeylElement.identity(rs)
         assert s.inverse() == s
 
 
@@ -38,7 +37,7 @@ def test_reflection_negates_its_own_simple_root(name):
     simples = affine_simple_roots(rs)
     for i, a in enumerate(simples):
         s = AffineWeylElement.simple_reflection(rs, i)
-        assert s.act(a) == a.negate()
+        assert s.act(a) == AffineRoot(tuple(-c for c in a.finite), -a.level)
         for j, b in enumerate(simples):
             if j != i:
                 assert is_positive_affine(s.act(b))
@@ -76,7 +75,7 @@ def test_group_laws(name, rng):
         u = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 9))
         v = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 9))
         assert (u * v).inverse() == v.inverse() * u.inverse()
-        assert (u * u.inverse()).is_identity
+        assert u * u.inverse() == AffineWeylElement.identity(rs)
         for ar in affine_simple_roots(rs):
             assert (u * v).act(ar) == u.act(v.act(ar))
 
@@ -88,7 +87,7 @@ def test_descents_match_length_drops(name, rng):
         w = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 10))
         n_len = w.length()
         for i in range(rs.rank + 1):
-            drop = w.right_multiply(i).length() < n_len
+            drop = (w * AffineWeylElement.simple_reflection(rs, i)).length() < n_len
             assert drop == (i in w.right_descents())
 
 
@@ -101,7 +100,7 @@ def test_elements_are_integer_matrices(name, rng):
         w = AffineWeylElement.from_word(rs, word)
         for g in (w, w.inverse()):
             assert all(type(x) is int for row in g.matrix for x in row)
-        assert (w * w.inverse()).is_identity
+        assert w * w.inverse() == AffineWeylElement.identity(rs)
         assert reduce(lambda u, i: u * gens[i], word, AffineWeylElement.identity(rs)) == w
 
 
@@ -146,19 +145,6 @@ def test_wall_normalized_flips_sign():
     flipped = Wall(tuple(-c for c in w.normal), -w.offset)
     assert flipped.normalized() == w
     assert w.normalized() == w
-
-
-def test_dilated_alcove_membership():
-    rs = root_system("A2")
-    origin = (Q(0), Q(0))
-    assert is_in_closed_dilated_alcove(rs, origin, 1)
-    for v in fundamental_alcove_vertices(rs):
-        assert is_in_closed_dilated_alcove(rs, v, 1)
-        doubled = tuple(2 * c for c in v)
-        assert is_in_closed_dilated_alcove(rs, doubled, 2)
-        assert is_in_closed_dilated_alcove(rs, doubled, 1) == (v == origin)
-    outside = tuple(-c for c in fundamental_alcove_vertices(rs)[1])
-    assert not is_in_closed_dilated_alcove(rs, outside, 5)
 
 
 def test_affine_reflection_translates_origin_to_theta_covector():

@@ -141,15 +141,25 @@ def test_verify_report_to_file(tmp_path, capsys):
 
 
 def test_verify_under_optimize_flag_matches():
-    """Invariants raise errors rather than assert, so `python -O` checks the same."""
+    """Invariants raise errors rather than assert, so `python -O` checks the same.
+
+    Each run also gets its own hash seed: the report must not depend on it.
+    """
     src = os.path.dirname(os.path.dirname(os.path.abspath(rootposets.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = ["-m", "rootposets.cli", "verify", "--suite", "all", "--max-rank", "4"]
-    plain, optimized = (
-        subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True, env=env, timeout=120)
+    procs = [
+        subprocess.run(
+            [sys.executable, *flags, *argv],
+            capture_output=True,
+            text=True,
+            env=dict(env, PYTHONHASHSEED=seed),
+            timeout=120,
+        )
         for flags in ((), ("-O",))
-    )
-    assert plain.returncode == 0, plain.stderr
-    assert optimized.returncode == 0, optimized.stderr
-    assert optimized.stdout == plain.stdout
-    assert plain.stdout.splitlines()[-1].endswith(", 0 failed")
+        for seed in ("0", "1")
+    ]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == procs[0].stdout
+    assert procs[0].stdout.splitlines()[-1].endswith(", 0 failed")

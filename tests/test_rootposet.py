@@ -66,7 +66,7 @@ def test_delta_covering_polynomial_sums_to_root_count(small_system):
     rs = small_system
     f = delta_covering_polynomial(rs)
     assert f(1) == len(rs.positive_roots)
-    assert f.derivative_at_one() == sum(edge_type_counts(rs))
+    assert sum(k * c for k, c in enumerate(f.coeffs)) == sum(edge_type_counts(rs))
 
 
 def test_delta_covering_examples():

@@ -107,7 +107,9 @@ def test_roots_closed_under_reflection(small_system):
     rs = small_system
     for r in rs.positive_roots:
         for i in range(rs.rank):
-            assert rs.is_root(rs.reflect(r, i))
+            # s_i(r) = r - <r, alpha_i^vee> alpha_i is a positive or a negative root
+            image = tuple(c - rs.pairing(r, i) if j == i else c for j, c in enumerate(r))
+            assert image in rs.root_index or tuple(-c for c in image) in rs.root_index
 
 
 def test_form_integrality_of_pairings(small_system):
