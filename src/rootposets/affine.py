@@ -3,8 +3,8 @@
 An affine root is a pair (finite part, level) standing for ``mu + level*delta``
 with ``mu`` in simple-root coordinates.  The affine Weyl group acts linearly
 on these integer coordinates, so an element is one integer (n+1)x(n+1)
-matrix, stored with its inverse; products, inverses, lengths and wall images
-are integer computations.  Only points of the ambient space (`act_point`,
+matrix, stored with its inverse; products, inverses and wall images are
+integer computations.  Only points of the ambient space (`act_point`,
 alcove vertices) have rational coordinates.
 
 The fundamental alcove is the open simplex cut out by (x, alpha_i) > 0 and
@@ -132,7 +132,7 @@ class AffineWeylElement:
         image = self.act(AffineRoot(wall.normal, -wall.offset))
         return Wall(image.finite, -image.level)
 
-    # -- length and inversions --------------------------------------------------
+    # -- inversions and descents -----------------------------------------------
 
     def inversion_set(self) -> list[AffineRoot]:
         """All positive affine roots sent to negative ones."""
@@ -146,18 +146,6 @@ class AffineWeylElement:
             out.extend(AffineRoot(mu, k) for k in range(first, top + 1))
         out.sort(key=lambda ar: (ar.level, ar.finite))
         return out
-
-    def length(self) -> int:
-        """Sum over alpha > 0 of |k - [w(alpha) has negative finite part]|, k its level.
-
-        That term counts the inversions mu + j*delta with mu = alpha or -alpha.
-        """
-        rs = self.rs
-        total = 0
-        for alpha in rs.positive_roots:
-            image = self.act(AffineRoot(alpha, 0))
-            total += abs(image.level - (not rs.is_positive_root(image.finite)))
-        return total
 
     def right_descents(self) -> set[int]:
         """{i : l(w s_i) < l(w)}, i.e. simple affine roots made negative by w."""

@@ -271,22 +271,31 @@ def minimal_element(ideal: UpperIdeal) -> MinimalElement:
 def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
     """Re-verify the defining conditions; returns the levels k_0..k_n.
 
-    Checks, by direct evaluation on the constructed element:
-    containment (gamma in I iff w(delta-gamma) < 0, over all positive roots),
-    dominance (w(alpha) > 0 on finite simples), the stored inverse (w undoes
-    w^{-1} on the simple affine roots), minimality (all k_i >= -1), and length
-    (the word length equals sum of the power sizes and l(w)).
+    w is evaluated once on each positive root gamma, and that one image
+    w(gamma) = mu + k*delta serves three conditions: containment (gamma in I
+    iff w(delta - gamma) = w(delta) - w(gamma) < 0, with w(delta) read from
+    the matrix), dominance (w(gamma) > 0 for simple gamma), and the term
+    |k - [mu < 0]| of l(w).  Then the stored inverse (w undoes w^{-1} on the
+    simple affine roots), minimality (all k_i >= -1), and length (the word
+    length and l(w) both equal the sum of the power sizes).
     """
     rs = me.ideal.rs
     w = me.element
-    for gamma in rs.positive_roots:
-        delta_minus = AffineRoot(tuple(-c for c in gamma), 1)
-        if (gamma in me.ideal) != (not is_positive_affine(w.act(delta_minus))):
+    *delta_finite, delta_level = (row[-1] for row in w.matrix)
+    simple_index = {alpha: i for i, alpha in enumerate(rs.simple_roots, start=1)}
+    length = 0
+    for index, gamma in enumerate(rs.positive_roots):
+        image = w.act(AffineRoot(gamma, 0))
+        difference = AffineRoot(
+            tuple(d - c for d, c in zip(delta_finite, image.finite)), delta_level - image.level
+        )
+        if (me.ideal.mask >> index & 1) == is_positive_affine(difference):
             raise RootSystemError(f"containment condition fails at {gamma}")
-    simples = affine_simple_roots(rs)
-    for i in range(1, rs.rank + 1):
-        if not is_positive_affine(w.act(simples[i])):
+        i = simple_index.get(gamma)
+        if i is not None and not is_positive_affine(image):
             raise RootSystemError(f"dominance fails at alpha_{i}")
+        length += abs(image.level - (not rs.is_positive_root(image.finite)))
+    simples = affine_simple_roots(rs)
     w_inv = w.inverse()
     images = [w_inv.act(a) for a in simples]
     if any(w.act(v) != a for v, a in zip(images, simples)):
@@ -295,7 +304,7 @@ def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
     if any(k < -1 for k in levels):
         raise RootSystemError(f"minimality fails: levels {levels}")
     expected_length = sum(m.bit_count() for m in ideal_powers(me.ideal))
-    if len(me.word) != expected_length or w.length() != expected_length:
+    if len(me.word) != expected_length or length != expected_length:
         raise RootSystemError("length does not match the sum of ideal power sizes")
     return levels
 
@@ -360,9 +369,13 @@ def ad_edge_type_counts(rs: RootSystem) -> list[int]:
 
 
 def z_point(me: MinimalElement) -> tuple[int, ...]:
-    """The integral coweight z with (alpha_i, z) = k_i, in coroot coordinates."""
+    """The integral coweight z with (alpha_i, z) = k_i, in coroot coordinates.
+
+    k_i is the level of w^{-1}(alpha_i), read straight from the element.
+    """
     rs = me.ideal.rs
-    levels = check_minimal_element(me)
+    w_inv = me.element.inverse()
+    levels = tuple(w_inv.act(a).level for a in affine_simple_roots(rs))
     n = rs.rank
     inv = cartan_inverse(rs)  # z solves A^T z = k, and inv(A^T) = inv(A)^T
     z = []

@@ -212,14 +212,7 @@ def suite_ad(max_rank: int = 8, exhaustive: bool = False) -> list[CheckResult]:
             ],
         )
 
-    agree_systems = [
-        rs for rs in _systems(min(max_rank, EXHAUSTIVE_EDGE_RANK))
-    ] + [root_system(s) for s in ("F4", "G2") if root_system(s).rank <= max_rank]
-    seen = set()
-    for rs in agree_systems:
-        if rs.id in seen:
-            continue
-        seen.add(rs.id)
+    for rs in _systems(min(max_rank, EXHAUSTIVE_EDGE_RANK)):
         rec.run(
             f"{rs.id}: edge types agree along all four routes "
             f"(definition, facet, walls, descents) for every ideal",
@@ -334,14 +327,7 @@ def suite_abelian(max_rank: int = 8, exhaustive: bool = False) -> list[CheckResu
             lambda rs=rs: _assert_hyperplane_criterion(rs),
         )
 
-    independence = _systems(min(max_rank, 6))
-    if max_rank >= 4:
-        independence += [root_system("F4")]
-    seen = set()
-    for rs in independence:
-        if rs.id in seen:
-            continue
-        seen.add(rs.id)
+    for rs in _systems(min(max_rank, 6)):
         rec.run(
             f"{rs.id}: the class of a commutative root is the same in every "
             f"Abelian ideal having it as a generator",

@@ -33,7 +33,6 @@ from rootposets.affine import fundamental_alcove_vertices
 from rootposets.ideals import (
     empty_ideal,
     generator_edge_types,
-    ideal_from_roots,
     minimal_element,
     principal_ideal,
 )

@@ -1,7 +1,9 @@
 import pytest
 
+from rootposets import verify
 from rootposets.affine import AffineWeylElement
 from rootposets.ideals import (
+    MinimalElement,
     ad_edge_type_counts,
     ad_typed_edges,
     alcove_wall_types,
@@ -25,7 +27,7 @@ from rootposets.ideals import (
     sample_ideals,
     z_point,
 )
-from rootposets.rootsystem import RootSystemError, root_system
+from rootposets.rootsystem import RootSystemError, admissible_systems, root_system
 
 IDEAL_COUNTS = {"A2": 5, "A3": 14, "B2": 6, "B3": 20, "C3": 20, "D4": 50, "F4": 105, "G2": 8}
 
@@ -148,6 +150,57 @@ def test_minimal_element_levels_of_extremes():
     assert check_minimal_element(minimal_element(empty_ideal(rs))) == (1, 0, 0, 0)
     top_levels = check_minimal_element(minimal_element(full_ideal(rs)))
     assert top_levels[1:] == (-1,) * rs.rank
+
+
+@pytest.mark.parametrize(
+    "word,generator,message",
+    [
+        ((0,), None, "containment condition fails"),
+        ((1,), None, "dominance fails at alpha_1"),
+        ((1, 2, 0), (1, 0), "minimality fails"),
+        ((0, 1, 0, 1, 0, 1), None, "length does not match"),
+    ],
+)
+def test_check_catches_each_broken_condition(word, generator, message):
+    rs = root_system("A2")
+    ideal = empty_ideal(rs) if generator is None else principal_ideal(rs, generator)
+    me = MinimalElement(ideal, AffineWeylElement.from_word(rs, word), word)
+    with pytest.raises(RootSystemError, match=message):
+        check_minimal_element(me)
+
+
+def test_check_catches_a_wrong_stored_inverse():
+    rs = root_system("A2")
+    me = minimal_element(full_ideal(rs))
+    eye = AffineWeylElement.identity(rs).matrix
+    broken = me._replace(element=AffineWeylElement(rs, me.element.matrix, eye))
+    with pytest.raises(RootSystemError, match="stored inverse"):
+        check_minimal_element(broken)
+
+
+def test_verify_checks_each_ideal_once(monkeypatch):
+    checked = []
+    original = check_minimal_element
+
+    def counting(me):
+        checked.append(me.ideal)
+        return original(me)
+
+    monkeypatch.setattr("rootposets.ideals.check_minimal_element", counting)
+    assert all(r.passed for r in verify.suite_ad(4))
+    assert len(checked) == 432
+    assert sum(len(enumerate_upper_ideals(root_system(s))) for s in admissible_systems(4)) == 432
+
+
+def test_facet_types_do_not_rerun_the_check(monkeypatch):
+    def refuse(me):
+        raise AssertionError("facet_types re-ran the check")
+
+    monkeypatch.setattr("rootposets.ideals.check_minimal_element", refuse)
+    rs = root_system("C3")
+    for ideal in enumerate_upper_ideals(rs):
+        me = minimal_element(ideal)
+        assert facet_types(me) == set(generator_edge_types(me).values())
 
 
 def test_z_point_defining_property():
