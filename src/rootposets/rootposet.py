@@ -77,7 +77,8 @@ def _component_coxeter_numbers(rs: RootSystem, roots: list[Root]) -> list[int]:
 
     Components are chained by non-orthogonality; each component of a root
     subsystem satisfies #Δ_component = rank * h, and `roots` holds only the
-    positive half.
+    positive half.  The rank is the number of simple roots of the component:
+    its positive roots that are not the sum of two of its positive roots.
     """
     unseen = set(range(len(roots)))
     hs = []
@@ -91,30 +92,14 @@ def _component_coxeter_numbers(rs: RootSystem, roots: list[Root]) -> list[int]:
                 unseen.remove(b)
                 comp.append(b)
                 queue.append(b)
-        hs.append(2 * len(comp) // _span_rank([roots[k] for k in comp]))
+        members = {roots[k] for k in comp}
+        rank = sum(
+            1
+            for r in members
+            if not any(tuple(x - y for x, y in zip(r, s)) in members for s in members)
+        )
+        hs.append(2 * len(comp) // rank)
     return hs
-
-
-def _span_rank(vectors: list[Root]) -> int:
-    """Rank of the integer span, by fraction-free elimination."""
-    from fractions import Fraction as Q
-
-    rows = [[Q(c) for c in v] for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 def short_root_subdiagram(rs: RootSystem) -> tuple[list[Root], list[TypedEdge]]:

@@ -145,8 +145,9 @@ class RootSystem:
         self._is_long: dict[Root, bool] = {}
         # For `form`: D = lcm of the denominators of the d_i (1, 2 or 3),
         # e_i = D*d_i, and the nonzero (j, cartan[i][j]) of each Cartan row.
+        # D*(x, y) = sum_i x_i*e_i*y_i for x in weight, y in root coordinates.
         self._form_denominator = math.lcm(*(di.denominator for di in self.d))
-        self._form_weights = tuple(int(self._form_denominator * di) for di in self.d)
+        self.form_weights = tuple(int(self._form_denominator * di) for di in self.d)
         self._cartan_support = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
         )
@@ -250,7 +251,7 @@ class RootSystem:
         one Fraction; rational arguments (coweights) give the same exact value.
         """
         total = 0
-        for xi, ei, support in zip(x, self._form_weights, self._cartan_support):
+        for xi, ei, support in zip(x, self.form_weights, self._cartan_support):
             if xi:
                 total += xi * ei * sum(a * y[j] for j, a in support)
         return Q(total, self._form_denominator)

@@ -1,23 +1,23 @@
 """Weight systems of highest-weight modules and their weight diagrams.
 
 Weights live in fundamental-weight coordinates (integer tuples).  The
-multiplicity function comes from the Freudenthal recursion in exact rational
-arithmetic; the total dimension is checked against the Weyl dimension
-formula on every construction (a mismatch raises `RootSystemError`), so a
-silently incomplete weight set cannot survive.  Weight-diagram edges join
-weights differing by a simple root and carry multiplicity min of the
-endpoint multiplicities; the per-type counts can be recomputed independently
-through restriction to the sl2 of that simple root (`sl2_edge_count`).
+multiplicity function comes from the Freudenthal recursion in integers, with
+the form scaled by D (`RootSystem.form_weights`); the total dimension is
+checked against the Weyl dimension formula on every construction (a mismatch
+raises `RootSystemError`), so a silently incomplete weight set cannot
+survive.  Weight-diagram edges join weights differing by a simple root and
+carry multiplicity min of the endpoint multiplicities; the per-type counts
+can be recomputed independently through restriction to the sl2 of that
+simple root (`sl2_edge_count`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from typing import NamedTuple, Sequence
 
-from .rootsystem import Root, RootSystem, RootSystemError, cartan_inverse
+from .rootsystem import Root, RootSystem, RootSystemError
 
 Weight = tuple[int, ...]
 
@@ -34,14 +34,9 @@ def _alpha_in_weight_coords(rs: RootSystem, i: int) -> Weight:
     return tuple(rs.cartan[j][i] for j in range(rs.rank))
 
 
-def _to_root_coords(rs: RootSystem, weight: Sequence[int]) -> tuple[Q, ...]:
-    inv = cartan_inverse(rs)
-    return tuple(sum(inv[i][j] * weight[j] for j in range(rs.rank)) for i in range(rs.rank))
-
-
-def _form_weight_root(rs: RootSystem, weight: Sequence, root_coords: Sequence) -> Q:
-    """(x, gamma) for x in fundamental-weight and gamma in root coordinates."""
-    return sum((Q(weight[j]) * rs.d[j] * root_coords[j] for j in range(rs.rank)), Q(0))
+def _pair(rs: RootSystem, weight: Sequence[int], root_coords: Sequence[int]) -> int:
+    """D*(x, gamma) for x in fundamental-weight and gamma in root coordinates."""
+    return sum(x * e * g for x, e, g in zip(weight, rs.form_weights, root_coords))
 
 
 def root_to_weight_coords(rs: RootSystem, root: Root) -> Weight:
@@ -63,13 +58,15 @@ def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
 def weyl_dimension(rs: RootSystem, highest: Weight) -> int:
     """Weyl dimension formula, exact."""
     rho = (1,) * rs.rank
-    num = Q(1)
+    lam_rho = tuple(h + 1 for h in highest)
+    num = den = 1
     for gamma in rs.positive_roots:
-        lam_rho = tuple(h + r for h, r in zip(highest, rho))
-        num *= _form_weight_root(rs, lam_rho, gamma) / _form_weight_root(rs, rho, gamma)
-    if num.denominator != 1:
-        raise RootSystemError(f"Weyl dimension formula gives the non-integer {num}")
-    return int(num)
+        num *= _pair(rs, lam_rho, gamma)
+        den *= _pair(rs, rho, gamma)
+    dim, rest = divmod(num, den)
+    if rest:
+        raise RootSystemError(f"Weyl dimension formula gives the non-integer {num}/{den}")
+    return dim
 
 
 @dataclass(frozen=True)
@@ -98,75 +95,72 @@ def weight_system(rs: RootSystem, highest: Weight) -> WeightSystem:
     if any(c < 0 for c in highest):
         raise RootSystemError(f"{highest} is not dominant")
 
-    weights = _saturate(rs, highest)
+    below = _saturate(rs, highest)
+    for w, diff in below.items():
+        if any(c < 0 for c in diff):
+            raise RootSystemError(f"{w} is not below {highest} in the root lattice")
     dominants = sorted(
-        (w for w in weights if all(c >= 0 for c in w)),
-        key=lambda w: _depth(rs, highest, w),
+        (w for w in below if all(c >= 0 for c in w)), key=lambda w: sum(below[w])
     )
-    mult = _freudenthal(rs, highest, set(weights), dominants)
-    full = {w: mult[dominant_representative(rs, w)] for w in weights}
+    mult = _freudenthal(rs, highest, below, dominants)
+    full = {w: mult[dominant_representative(rs, w)] for w in below}
     ws = WeightSystem(rs, highest, full)
     if ws.dim != weyl_dimension(rs, highest):
         raise RootSystemError("multiplicities disagree with Weyl dimension")
     return ws
 
 
-def _depth(rs: RootSystem, highest: Weight, weight: Weight) -> int:
-    """Height of highest - weight as a nonnegative root-lattice element."""
-    diff = _to_root_coords(rs, [h - w for h, w in zip(highest, weight)])
-    if any(c.denominator != 1 or c < 0 for c in diff):
-        raise RootSystemError(f"{weight} is not below {highest} in the root lattice")
-    return int(sum(diff))
+def _saturate(rs: RootSystem, highest: Weight) -> dict[Weight, Root]:
+    """Close {highest} under full alpha_i-strings toward each reflection.
 
-
-def _saturate(rs: RootSystem, highest: Weight) -> set[Weight]:
-    """Close {highest} under full alpha_i-strings toward each reflection."""
+    Returns {mu: highest - mu in root coordinates}: each step by k*alpha_i moves
+    the weight and its difference alike, and the difference is unique because
+    the simple roots are independent.
+    """
     alphas = [_alpha_in_weight_coords(rs, i) for i in range(rs.rank)]
-    seen = {highest}
+    below = {highest: (0,) * rs.rank}
     stack = [highest]
     while stack:
         mu = stack.pop()
+        diff = below[mu]
         for i in range(rs.rank):
             c = mu[i]
             step = -1 if c > 0 else 1
             for k in range(1, abs(c) + 1):
                 nu = tuple(x + step * k * a for x, a in zip(mu, alphas[i]))
-                if nu not in seen:
-                    seen.add(nu)
+                if nu not in below:
+                    below[nu] = tuple(d - step * k * (j == i) for j, d in enumerate(diff))
                     stack.append(nu)
-    return seen
+    return below
 
 
 def _freudenthal(
-    rs: RootSystem, highest: Weight, weights: set[Weight], dominants: list[Weight]
+    rs: RootSystem, highest: Weight, below: dict[Weight, Root], dominants: list[Weight]
 ) -> dict[Weight, int]:
-    rho = (1,) * rs.rank
+    """Multiplicities of the dominant weights, highest first; D cancels in the ratio."""
     mult: dict[Weight, int] = {highest: 1}
-    alphas = [_alpha_in_weight_coords(rs, i) for i in range(rs.rank)]
     gamma_fw = {g: root_to_weight_coords(rs, g) for g in rs.positive_roots}
     for mu in dominants:
         if mu == highest:
             continue
-        acc = Q(0)
+        acc = 0
         for gamma in rs.positive_roots:
             gfw = gamma_fw[gamma]
             k = 1
             while True:
                 up = tuple(m + k * a for m, a in zip(mu, gfw))
-                if up not in weights:
+                if up not in below:
                     break
-                acc += mult[dominant_representative(rs, up)] * _form_weight_root(rs, up, gamma)
+                acc += mult[dominant_representative(rs, up)] * _pair(rs, up, gamma)
                 k += 1
-        lam_mu = [h - m for h, m in zip(highest, mu)]
-        lam_mu_root = _to_root_coords(rs, lam_mu)
         lam_mu_rho = [h + m + 2 for h, m in zip(highest, mu)]
-        denom = _form_weight_root(rs, lam_mu_rho, lam_mu_root)
+        denom = _pair(rs, lam_mu_rho, below[mu])
         if denom <= 0:
             raise RootSystemError("Freudenthal denominator must be positive below the highest weight")
-        value = 2 * acc / denom
-        if value.denominator != 1 or value < 1:
-            raise RootSystemError(f"Freudenthal multiplicity of {mu} is {value}")
-        mult[mu] = int(value)
+        value, rest = divmod(2 * acc, denom)
+        if rest or value < 1:
+            raise RootSystemError(f"Freudenthal multiplicity of {mu} is {2 * acc}/{denom}")
+        mult[mu] = value
     return mult
 
 

@@ -192,6 +192,21 @@ def test_verify_checks_each_ideal_once(monkeypatch):
     assert sum(len(enumerate_upper_ideals(root_system(s))) for s in admissible_systems(4)) == 432
 
 
+def test_verify_builds_each_minimal_element_once(monkeypatch):
+    built = []
+    original = minimal_element
+
+    def counting(ideal):
+        built.append(ideal)
+        return original(ideal)
+
+    monkeypatch.setattr("rootposets.ideals.minimal_element", counting)
+    assert all(r.passed for r in verify.suite_ad(4))
+    # 432 ideals of rank <= 4, read again by the four-route lines; the sl4
+    # lines build 14 + 1 more
+    assert len(built) == 447
+
+
 def test_facet_types_do_not_rerun_the_check(monkeypatch):
     def refuse(me):
         raise AssertionError("facet_types re-ran the check")

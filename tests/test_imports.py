@@ -1,4 +1,5 @@
-"""Every module uses each name it imports (the package's `__init__` re-exports)."""
+"""Every module uses each name it imports (the package's `__init__` re-exports),
+and only the modules in FRACTION_MODULES import `fractions`."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ MODULES = [
     *(p for p in sorted((ROOT / "src" / "rootposets").glob("*.py")) if p.name != "__init__.py"),
     *sorted((ROOT / "tests").glob("*.py")),
 ]
+SOURCES = sorted((ROOT / "src" / "rootposets").glob("*.py"))
+# The modules that still compute with Fraction; the rest are integer-only.
+FRACTION_MODULES = {"rootsystem", "affine", "ideals"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +45,23 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imports_fractions(source: str) -> bool:
+    """Whether any import in `source`, at any depth, binds from `fractions`."""
+    return any(
+        isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+        for node in ast.walk(ast.parse(source))
+    )
+
+
+def test_scan_finds_a_fractions_import():
+    assert imports_fractions("def f():\n    from fractions import Fraction\n")
+    assert imports_fractions("import fractions as fr\n")
+    assert not imports_fractions("import math\nfrom typing import Sequence\n")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_fraction_only_where_allowed(path):
+    assert imports_fractions(path.read_text()) == (path.stem in FRACTION_MODULES)

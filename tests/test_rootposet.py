@@ -1,6 +1,7 @@
 import pytest
 
 from rootposets.rootposet import (
+    _component_coxeter_numbers,
     delta_covering_polynomial,
     edge_type_counts,
     expected_edge_type_counts,
@@ -72,3 +73,22 @@ def test_delta_covering_polynomial_sums_to_root_count(small_system):
 def test_delta_covering_examples():
     assert str(delta_covering_polynomial(root_system("F4"))) == "4 + 7q + 12q^2 + q^3"
     assert str(delta_covering_polynomial(root_system("G2"))) == "2 + 3q + q^2"
+
+
+COMPONENT_COXETER = {
+    "B2": ([2, 2], [2, 2]),
+    "C2": ([2, 2], [2, 2]),
+    **{f"B{n}": ([2] * n, [2 * n - 2]) for n in range(3, 9)},
+    **{f"C{n}": ([2 * n - 2], [2] * n) for n in range(3, 9)},
+    "F4": ([6], [6]),
+    "G2": ([3], [3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_COXETER))
+def test_component_coxeter_numbers(name):
+    rs = root_system(name)
+    shorts = [r for r in rs.positive_roots if not rs.is_long(r)]
+    longs = [r for r in rs.positive_roots if rs.is_long(r)]
+    got = (_component_coxeter_numbers(rs, shorts), _component_coxeter_numbers(rs, longs))
+    assert got == COMPONENT_COXETER[name]

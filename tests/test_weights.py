@@ -1,7 +1,9 @@
 import pytest
 
-from rootposets.rootsystem import root_system
+from rootposets import verify
+from rootposets.rootsystem import cartan_inverse, root_system
 from rootposets.weights import (
+    _saturate,
     adjoint_weight,
     dominant_representative,
     edge_type_counts,
@@ -120,3 +122,23 @@ def test_dominant_representative(rng):
         dom = dominant_representative(rs, w)
         assert all(dom[i] >= 0 for i in range(3))
         assert dominant_representative(rs, dom) == dom
+
+
+SATURATION_CASES = [
+    *((rs, highest) for rs, highest, _ in verify._weights_corpus(4)),
+    (root_system("E6"), fundamental_weight(root_system("E6"), 0)),
+]
+
+
+@pytest.mark.parametrize(
+    "rs,highest", SATURATION_CASES, ids=[f"{rs.id}-{h}" for rs, h in SATURATION_CASES]
+)
+def test_saturation_records_the_root_lattice_difference(rs, highest):
+    inv = cartan_inverse(rs)  # the reference: root coordinates of a weight
+    below = _saturate(rs, highest)
+    assert len(below) == len(weight_system(rs, highest).multiplicity)
+    for mu, diff in below.items():
+        lam_mu = [h - m for h, m in zip(highest, mu)]
+        want = tuple(sum(inv[i][j] * lam_mu[j] for j in range(rs.rank)) for i in range(rs.rank))
+        assert diff == want
+        assert all(c >= 0 for c in diff)
