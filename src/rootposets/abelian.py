@@ -125,15 +125,19 @@ class CommutativeRoot(NamedTuple):
     ideal: UpperIdeal
 
 
+def abelian_principal_ideals(rs: RootSystem) -> list[UpperIdeal]:
+    """The principal ideals that are Abelian, one per commutative root; no typing."""
+    principal = (principal_ideal(rs, gamma) for gamma in rs.positive_roots)
+    return [ideal for ideal in principal if ideal.is_abelian()]
+
+
 @lru_cache(maxsize=None)
 def commutative_roots(rs: RootSystem) -> tuple[CommutativeRoot, ...]:
     """Roots whose principal ideal is Abelian, with their edge classes."""
     types = abelian_generator_types(rs)
     out = []
-    for gamma in rs.positive_roots:
-        ideal = principal_ideal(rs, gamma)
-        if not ideal.is_abelian():
-            continue
+    for ideal in abelian_principal_ideals(rs):
+        (gamma,) = ideal.generators
         out.append(CommutativeRoot(gamma, types[ideal.mask][gamma], ideal))
     return tuple(out)
 

@@ -40,7 +40,6 @@ def is_positive_affine(ar: AffineRoot) -> bool:
 
 def affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
     """Index 0 is delta - theta; index i >= 1 is the finite simple alpha_i."""
-    zero = (0,) * rs.rank
     out = [AffineRoot(tuple(-c for c in rs.theta), 1)]
     for i in range(rs.rank):
         out.append(AffineRoot(tuple(1 if j == i else 0 for j in range(rs.rank)), 0))

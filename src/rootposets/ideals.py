@@ -15,7 +15,7 @@ of w as it goes), and every construction re-verifies the defining conditions:
 Hasse edges of the ideal poset carry a type in {0..n}: removing a generator
 gamma from I yields an edge whose type is the affine simple root w(gamma -
 delta).  The same multiset of types is recovered three more ways (facets of
-the integral point z, separating walls of w^{-1}*A, left descents of w).
+the point z = w(0), separating walls of w^{-1}*A, left descents of w).
 The Abelian ideals (`abelian`) share the antichain search and the typing.
 """
 
@@ -25,8 +25,8 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction as Q
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
@@ -39,7 +39,7 @@ from .affine import (
     is_positive_affine,
 )
 from .posets import FinitePoset, IntPolynomial
-from .rootsystem import Root, RootSystem, RootSystemError, cartan_inverse
+from .rootsystem import Root, RootSystem, RootSystemError
 
 
 @dataclass(frozen=True)
@@ -193,12 +193,12 @@ def enumerate_upper_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
 
 def expected_ideal_count(rs: RootSystem) -> int:
     """Product formula over the exponents: prod (h + e_i + 1)/(e_i + 1)."""
-    value = Q(1)
-    for e in rs.exponents:
-        value *= Q(rs.h + e + 1, e + 1)
-    if value.denominator != 1:
-        raise RootSystemError(f"ideal count product formula is not integral: {value}")
-    return int(value)
+    num = math.prod(rs.h + e + 1 for e in rs.exponents)
+    den = math.prod(e + 1 for e in rs.exponents)
+    value, rest = divmod(num, den)
+    if rest:
+        raise RootSystemError(f"ideal count product formula is not integral: {num}/{den}")
+    return value
 
 
 def ideal_count_closed_form(rs: RootSystem) -> int:
@@ -368,40 +368,40 @@ def ad_edge_type_counts(rs: RootSystem) -> list[int]:
     return type_counts(rs, generator_types(enumerate_upper_ideals(rs)))
 
 
-def z_point(me: MinimalElement) -> tuple[int, ...]:
-    """The integral coweight z with (alpha_i, z) = k_i, in coroot coordinates.
+def _affine_values(rs: RootSystem, x: Sequence[int]) -> list[int]:
+    """Affine simple roots at x (coroot coordinates): [1 - (x, theta), (x, alpha_1), ...]."""
+    theta_value = sum(x[j] * rs.pairing(rs.theta, j) for j in range(rs.rank))
+    return [1 - theta_value, *(sum(map(mul, x, column)) for column in zip(*rs.cartan))]
 
-    k_i is the level of w^{-1}(alpha_i), read straight from the element.
+
+def z_point(me: MinimalElement) -> tuple[int, ...]:
+    """z = w(0) in coroot coordinates, from the word acting on 0 right to left.
+
+    s_i (i >= 1) takes (x, alpha_i) from x_i; s_0 takes ((x, theta) - 1)*theta^vee from x.
+    Raises unless (z, alpha_i) is the level k_i of w^{-1}(alpha_i) and (z, theta) = 1 - k_0.
     """
     rs = me.ideal.rs
-    w_inv = me.element.inverse()
-    levels = tuple(w_inv.act(a).level for a in affine_simple_roots(rs))
-    n = rs.rank
-    inv = cartan_inverse(rs)  # z solves A^T z = k, and inv(A^T) = inv(A)^T
-    z = []
-    for i in range(n):
-        val = sum(inv[j][i] * levels[1 + j] for j in range(n))
-        if val.denominator != 1:
-            raise RootSystemError(f"z-point is not integral: {val} in row {i}")
-        z.append(int(val))
-    theta_pairing = sum(z[j] * rs.pairing(rs.theta, j) for j in range(n))
-    if theta_pairing != 1 - levels[0]:
-        raise RootSystemError("z-point fails the level-0 consistency equation")
-    return tuple(z)
+    columns = tuple(zip(*rs.cartan))
+    theta = [rs.pairing(rs.theta, j) for j in range(rs.rank)]
+    x = [0] * rs.rank
+    for i in reversed(me.word):
+        if i:
+            x[i - 1] -= sum(map(mul, x, columns[i - 1]))
+        else:
+            shift = sum(map(mul, x, theta)) - 1
+            x = [a - shift * c for a, c in zip(x, rs.coroot_marks)]
+    levels = [v.level for v in map(me.element.inverse().act, affine_simple_roots(rs))]
+    if _affine_values(rs, x) != levels:
+        raise RootSystemError(f"z-point {x} of the word does not give the levels {levels}")
+    return tuple(x)
 
 
 def facet_types(me: MinimalElement) -> set[int]:
-    """Facets of {x : (x, alpha) >= -1, (x, theta) <= 2} that contain z."""
-    rs = me.ideal.rs
-    z = z_point(me)
-    n = rs.rank
-    values = [sum(z[j] * rs.cartan[j][i] for j in range(n)) for i in range(n)]
-    theta_value = sum(z[j] * rs.pairing(rs.theta, j) for j in range(n))
-    if any(v < -1 for v in values) or theta_value > 2:
+    """Facets of {x : (x, alpha_i) >= -1, (x, theta) <= 2} that contain z = w(0)."""
+    values = _affine_values(me.ideal.rs, z_point(me))
+    if min(values) < -1:
         raise RootSystemError("z-point lies outside the minimal-element region")
-    out = {0} if theta_value == 2 else set()
-    out.update(i + 1 for i in range(n) if values[i] == -1)
-    return out
+    return {i for i, v in enumerate(values) if v == -1}
 
 
 def alcove_wall_types(me: MinimalElement) -> list[int]:

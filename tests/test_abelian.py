@@ -1,6 +1,6 @@
 import pytest
 
-from rootposets import abelian
+from rootposets import abelian, verify
 from rootposets.abelian import (
     ab_covering_polynomial,
     ab_edge_type_counts,
@@ -211,6 +211,29 @@ def test_one_minimal_element_per_abelian_ideal(monkeypatch):
         abelian.abelian_generator_types.cache_clear()
         abelian.commutative_roots.cache_clear()
     assert sorted(calls) == sorted(("F4", ideal.mask) for ideal in enumerate_abelian_ideals(rs))
+
+
+def test_covering_suite_builds_no_minimal_element(monkeypatch):
+    def refuse(ideal):
+        raise AssertionError(f"the covering suite built the minimal element of {ideal}")
+
+    monkeypatch.setattr("rootposets.ideals.minimal_element", refuse)
+    abelian.abelian_generator_types.cache_clear()
+    abelian.commutative_roots.cache_clear()
+    try:
+        assert all(r.passed for r in verify.suite_covering(4))
+    finally:
+        abelian.abelian_generator_types.cache_clear()
+        abelian.commutative_roots.cache_clear()
+
+
+def test_abelian_principal_ideals_are_the_commutative_roots(small_system):
+    rs = small_system
+    principal = abelian.abelian_principal_ideals(rs)
+    assert [ideal.generators for ideal in principal] == [
+        (rec.root,) for rec in commutative_roots(rs)
+    ]
+    assert len(principal) == expected_commutative_count(rs)
 
 
 def test_suter_tau_a2_orbit():

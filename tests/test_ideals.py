@@ -27,7 +27,7 @@ from rootposets.ideals import (
     sample_ideals,
     z_point,
 )
-from rootposets.rootsystem import RootSystemError, admissible_systems, root_system
+from rootposets.rootsystem import RootSystemError, admissible_systems, cartan_inverse, root_system
 
 IDEAL_COUNTS = {"A2": 5, "A3": 14, "B2": 6, "B3": 20, "C3": 20, "D4": 50, "F4": 105, "G2": 8}
 
@@ -41,8 +41,10 @@ def test_ideal_counts(name, count):
 
 
 def test_large_counts_match_product_formula():
-    for name in ("E6", "E7", "E8", "B8", "D8"):
-        rs = root_system(name)
+    systems = admissible_systems(8)
+    assert len(systems) == 33
+    for sid in systems:
+        rs = root_system(sid)
         assert expected_ideal_count(rs) == ideal_count_closed_form(rs)
 
 
@@ -219,15 +221,30 @@ def test_facet_types_do_not_rerun_the_check(monkeypatch):
 
 
 def test_z_point_defining_property():
+    checked = 0
+    for sid in [*admissible_systems(4), "E6"]:
+        rs = root_system(sid)
+        n = rs.rank
+        inv = cartan_inverse(rs)  # the reference: z solves A^T z = k, and inv(A^T) = inv(A)^T
+        assert z_point(minimal_element(empty_ideal(rs))) == (0,) * n
+        for ideal in enumerate_upper_ideals(rs):
+            me = minimal_element(ideal)
+            levels = check_minimal_element(me)
+            z = z_point(me)
+            assert z == tuple(sum(inv[j][i] * levels[1 + j] for j in range(n)) for i in range(n))
+            for i, alpha in enumerate(rs.simple_roots):
+                assert sum(z[j] * rs.pairing(alpha, j) for j in range(n)) == levels[1 + i]
+            assert sum(z[j] * rs.pairing(rs.theta, j) for j in range(n)) == 1 - levels[0]
+            checked += 1
+    assert checked == 432 + 833
+
+
+def test_z_point_refuses_a_word_of_another_element():
     rs = root_system("C3")
-    assert z_point(minimal_element(empty_ideal(rs))) == (0, 0, 0)
-    for ideal in enumerate_upper_ideals(rs):
-        me = minimal_element(ideal)
-        levels = check_minimal_element(me)
-        z = z_point(me)
-        for i, alpha in enumerate(rs.simple_roots):
-            assert sum(z[j] * rs.pairing(alpha, j) for j in range(rs.rank)) == levels[1 + i]
-        assert sum(z[j] * rs.pairing(rs.theta, j) for j in range(rs.rank)) == 1 - levels[0]
+    first, second = (minimal_element(ideal) for ideal in enumerate_upper_ideals(rs)[5:7])
+    assert z_point(first) != z_point(second)
+    with pytest.raises(RootSystemError, match="does not give the levels"):
+        z_point(MinimalElement(first.ideal, first.element, second.word))
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C3", "G2"])

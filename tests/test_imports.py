@@ -1,5 +1,6 @@
 """Every module uses each name it imports (the package's `__init__` re-exports),
-and only the modules in FRACTION_MODULES import `fractions`."""
+only the modules in FRACTION_MODULES import `fractions`, and no function of
+`src/rootposets` binds a local name that it never reads."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,7 @@ MODULES = [
 ]
 SOURCES = sorted((ROOT / "src" / "rootposets").glob("*.py"))
 # The modules that still compute with Fraction; the rest are integer-only.
-FRACTION_MODULES = {"rootsystem", "affine", "ideals"}
+FRACTION_MODULES = {"rootsystem", "affine"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -65,3 +66,67 @@ def test_scan_finds_a_fractions_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_fraction_only_where_allowed(path):
     assert imports_fractions(path.read_text()) == (path.stem in FRACTION_MODULES)
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(func: ast.AST):
+    """The nodes of a function body outside its nested functions and classes."""
+    stack = list(ast.iter_child_nodes(func))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def dead_locals(source: str) -> list[str]:
+    """`function.name` for each plain name a function binds and nothing in it reads.
+
+    A read anywhere in the function counts, in its nested functions too.  Names
+    declared global or nonlocal, and names starting with `_`, are exempt.
+    """
+    out = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, FUNCTIONS):
+            continue
+        own = list(_own_nodes(func))
+        shared = {
+            name for node in own if isinstance(node, (ast.Global, ast.Nonlocal)) for name in node.names
+        }
+        bound = {
+            node.id
+            for node in own
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        read = {
+            node.id
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        owner = getattr(func, "name", "<lambda>")
+        dead = sorted(bound - read - shared)
+        out.extend(f"{owner}.{local}" for local in dead if not local.startswith("_"))
+    return out
+
+
+def test_scan_finds_a_dead_local():
+    source = (
+        "def f(n):\n"
+        "    zero, one = 0, 1\n"
+        "    for _ in range(n):\n"
+        "        count = 0\n"
+        "    def g():\n"
+        "        nonlocal one\n"
+        "        one = 2\n"
+        "    g()\n"
+        "    return one\n"
+    )
+    assert dead_locals(source) == ["f.count", "f.zero"]
+    assert dead_locals("def f(x):\n    y = x\n    return lambda: y\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_dead_locals(path):
+    assert dead_locals(path.read_text()) == []
