@@ -483,5 +483,5 @@ def max_orthogonal_simple_count(rs: RootSystem) -> int:
 def boolean_lattice_covering_polynomial(n: int) -> IntPolynomial:
     """Sanity anchor: the covering polynomial of the Boolean lattice is (1+q)^n."""
     subsets = list(range(1 << n))
-    poset = FinitePoset(subsets, lambda a, b: a & ~b == 0, validate=False)
+    poset = FinitePoset(subsets, lambda a, b: a & ~b == 0)
     return poset.covering_polynomial()

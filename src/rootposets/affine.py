@@ -3,9 +3,10 @@
 An affine root is a pair (finite part, level) standing for ``mu + level*delta``
 with ``mu`` in simple-root coordinates.  The affine Weyl group acts linearly
 on these integer coordinates, so an element is one integer (n+1)x(n+1)
-matrix, stored with its inverse; products, inverses and wall images are
-integer computations.  Only points of the ambient space (`act_point`,
-alcove vertices) have rational coordinates.
+matrix, stored with its inverse; products, inverses and the images of the
+affine simple roots and of the alcove walls (`simple_images`) are integer
+computations.  Only points of the ambient space (`act_point`, alcove
+vertices) have rational coordinates.
 
 The fundamental alcove is the open simplex cut out by (x, alpha_i) > 0 and
 (x, theta) < 1; its vertices are 0 and the fundamental coweights divided by
@@ -126,10 +127,14 @@ class AffineWeylElement:
             for r in range(n)
         )
 
-    def act_wall(self, wall: "Wall") -> "Wall":
-        """Image of a hyperplane: the zero set of the affine root (normal, -offset)."""
-        image = self.act(AffineRoot(wall.normal, -wall.offset))
-        return Wall(image.finite, -image.level)
+    def simple_images(self) -> tuple[AffineRoot, ...]:
+        """w(alpha_0), ..., w(alpha_n): column j - 1 is w(alpha_j) for j >= 1,
+        and w(alpha_0) = w(delta) - sum_j theta_j w(alpha_j).
+        """
+        *columns, zero = zip(*self.matrix)
+        for t, column in zip(self.rs.theta, columns):
+            zero = [z - t * c for z, c in zip(zero, column)]
+        return tuple(AffineRoot(tuple(v[:-1]), v[-1]) for v in (zero, *columns))
 
     # -- inversions and descents -----------------------------------------------
 
@@ -148,11 +153,7 @@ class AffineWeylElement:
 
     def right_descents(self) -> set[int]:
         """{i : l(w s_i) < l(w)}, i.e. simple affine roots made negative by w."""
-        return {
-            i
-            for i, a in enumerate(affine_simple_roots(self.rs))
-            if not is_positive_affine(self.act(a))
-        }
+        return {i for i, a in enumerate(self.simple_images()) if not is_positive_affine(a)}
 
 
 def _times_word(

@@ -15,7 +15,9 @@ of w as it goes), and every construction re-verifies the defining conditions:
 Hasse edges of the ideal poset carry a type in {0..n}: removing a generator
 gamma from I yields an edge whose type is the affine simple root w(gamma -
 delta).  The same multiset of types is recovered three more ways (facets of
-the point z = w(0), separating walls of w^{-1}*A, left descents of w).
+the point z = w(0), separating walls of w^{-1}*A, left descents of w).  The
+facet and descent routes read the same levels of w^{-1}(alpha_i), so they
+differ only by the walk of z along the reduced word.
 The Abelian ideals (`abelian`) share the antichain search and the typing.
 """
 
@@ -25,7 +27,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,9 +35,9 @@ from . import _kernels
 from .affine import (
     AffineRoot,
     AffineWeylElement,
+    Wall,
     affine_simple_roots,
     fundamental_alcove_vertices,
-    fundamental_alcove_walls,
     is_positive_affine,
 )
 from .posets import FinitePoset, IntPolynomial
@@ -47,7 +49,7 @@ class UpperIdeal:
     """An upward-closed subset of the positive roots.
 
     Ideals of different systems never compare equal; the hash covers only the
-    integer fields.
+    integer fields, not the `powers` cached on first read.
     """
 
     rs: RootSystem = field(repr=False, hash=False)
@@ -73,6 +75,16 @@ class UpperIdeal:
 
     def is_abelian(self) -> bool:
         return not _power_mask(self.rs, self.mask, self.mask)
+
+    @cached_property
+    def powers(self) -> tuple[int, ...]:
+        """Masks of I = I^1, I^2, ... down to the last nonempty power."""
+        powers = []
+        cur = self.mask
+        while cur:
+            powers.append(cur)
+            cur = _power_mask(self.rs, cur, self.mask)
+        return tuple(powers)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -223,17 +235,6 @@ def expected_edge_count(rs: RootSystem) -> int:
     return two_edges // 2
 
 
-def ideal_powers(ideal: UpperIdeal) -> list[int]:
-    """Masks of I = I^1, I^2, ... down to the last nonempty power."""
-    rs = ideal.rs
-    powers = []
-    cur = ideal.mask
-    while cur:
-        powers.append(cur)
-        cur = _power_mask(rs, cur, ideal.mask)
-    return powers
-
-
 # -- minimal elements -----------------------------------------------------------
 
 
@@ -248,7 +249,7 @@ def target_inversion_rows(ideal: UpperIdeal) -> list[tuple[int, ...]]:
     pos = ideal.rs.positive_roots
     return [
         (*(-c for c in pos[i]), k)
-        for k, mask in enumerate(ideal_powers(ideal), start=1)
+        for k, mask in enumerate(ideal.powers, start=1)
         for i in _bits(mask)
     ]
 
@@ -295,15 +296,13 @@ def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
         if i is not None and not is_positive_affine(image):
             raise RootSystemError(f"dominance fails at alpha_{i}")
         length += abs(image.level - (not rs.is_positive_root(image.finite)))
-    simples = affine_simple_roots(rs)
-    w_inv = w.inverse()
-    images = [w_inv.act(a) for a in simples]
-    if any(w.act(v) != a for v, a in zip(images, simples)):
+    images = w.inverse().simple_images()
+    if any(w.act(v) != a for v, a in zip(images, affine_simple_roots(rs))):
         raise RootSystemError("the stored inverse does not invert the element")
     levels = tuple(v.level for v in images)
     if any(k < -1 for k in levels):
         raise RootSystemError(f"minimality fails: levels {levels}")
-    expected_length = sum(m.bit_count() for m in ideal_powers(me.ideal))
+    expected_length = sum(m.bit_count() for m in me.ideal.powers)
     if len(me.word) != expected_length or length != expected_length:
         raise RootSystemError("length does not match the sum of ideal power sizes")
     return levels
@@ -390,7 +389,7 @@ def z_point(me: MinimalElement) -> tuple[int, ...]:
         else:
             shift = sum(map(mul, x, theta)) - 1
             x = [a - shift * c for a, c in zip(x, rs.coroot_marks)]
-    levels = [v.level for v in map(me.element.inverse().act, affine_simple_roots(rs))]
+    levels = [v.level for v in me.element.inverse().simple_images()]
     if _affine_values(rs, x) != levels:
         raise RootSystemError(f"z-point {x} of the word does not give the levels {levels}")
     return tuple(x)
@@ -410,8 +409,8 @@ def alcove_wall_types(me: MinimalElement) -> list[int]:
     g = me.element.inverse()
     verts = [g.act_point(v) for v in fundamental_alcove_vertices(rs)]
     types = []
-    for t, wall in enumerate(fundamental_alcove_walls(rs)):
-        image = g.act_wall(wall)
+    for t, root in enumerate(g.simple_images()):
+        image = Wall(root.finite, -root.level)  # wall t of w^{-1} * A: where g(alpha_t) vanishes
         side_values = [image.evaluate(rs, v) for v in verts]
         nonzero = [v for v in side_values if v != 0]
         if len(nonzero) != 1:
@@ -442,7 +441,7 @@ def narayana_polynomial(rs: RootSystem) -> IntPolynomial:
 
 def inclusion_poset(batch: Sequence[UpperIdeal]) -> FinitePoset:
     """The ideals of a batch ordered by inclusion."""
-    return FinitePoset(batch, lambda a, b: a.mask & ~b.mask == 0, validate=False)
+    return FinitePoset(batch, lambda a, b: a.mask & ~b.mask == 0)
 
 
 def sample_ideals(rs: RootSystem, count: int, seed: int = 2004) -> list[UpperIdeal]:

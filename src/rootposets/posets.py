@@ -20,7 +20,7 @@ class PosetError(ValueError):
 class FinitePoset:
     """A finite poset given extensionally by elements and a comparison."""
 
-    def __init__(self, elements: Sequence[T], leq: Callable[[T, T], bool], *, validate: bool = True):
+    def __init__(self, elements: Sequence[T], leq: Callable[[T, T], bool]):
         self._elements = tuple(elements)
         if len(set(self._elements)) != len(self._elements):
             raise PosetError("duplicate elements")
@@ -38,8 +38,7 @@ class FinitePoset:
                 if up[i] >> j & 1:
                     down[j] |= 1 << i
         self._down = down
-        if validate:
-            self._check_axioms()
+        self._check_axioms()
 
     def _check_axioms(self) -> None:
         n = len(self._elements)

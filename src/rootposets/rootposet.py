@@ -58,7 +58,7 @@ def expected_edge_type_counts(rs: RootSystem) -> list[int]:
 
 
 def root_poset(rs: RootSystem) -> FinitePoset:
-    return FinitePoset(rs.positive_roots, rs.root_leq, validate=False)
+    return FinitePoset(rs.positive_roots, rs.root_leq)
 
 
 def delta_covering_polynomial(rs: RootSystem) -> IntPolynomial:
@@ -140,7 +140,7 @@ def short_subdiagram_equals_induced(rs: RootSystem) -> bool:
     Reported by the verify suite rather than assumed anywhere.
     """
     shorts, edges = short_root_subdiagram(rs)
-    induced = FinitePoset(shorts, rs.root_leq, validate=False)
+    induced = FinitePoset(shorts, rs.root_leq)
     got = {(e.upper, e.lower) for e in edges}
     want = set(induced.covers())
     return got == want

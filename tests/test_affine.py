@@ -129,14 +129,29 @@ def test_alcove_walls_and_vertices(name):
         assert all(v >= 0 for v in values) or all(v <= 0 for v in values)
 
 
+@pytest.mark.parametrize("name", SYSTEMS)
+def test_simple_images_match_act(name, rng):
+    rs = root_system(name)
+    for _ in range(8):
+        w = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 12))
+        for g in (w, w.inverse()):
+            assert g.simple_images() == tuple(g.act(a) for a in affine_simple_roots(rs))
+
+
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
 def test_wall_action_is_equivariant(name, rng):
+    # g maps wall t to the zero set of g(alpha_t); wall 0, (theta, 1), is the
+    # zero set of -alpha_0 = theta - delta, hence its sign
     rs = root_system(name)
-    x = fundamental_alcove_vertices(rs)[1]
+    signs = [-1] + [1] * rs.rank
+    points = [fundamental_alcove_vertices(rs)[1], tuple(Q(1, k + 2) for k in range(rs.rank))]
     for _ in range(6):
         g = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 8))
-        for wall in fundamental_alcove_walls(rs):
-            assert g.act_wall(wall).evaluate(rs, g.act_point(x)) == wall.evaluate(rs, x)
+        images = [Wall(a.finite, -a.level) for a in g.simple_images()]
+        for x in points:
+            y = g.act_point(x)
+            for wall, sign, image in zip(fundamental_alcove_walls(rs), signs, images):
+                assert image.evaluate(rs, y) == sign * wall.evaluate(rs, x)
 
 
 def test_wall_normalized_flips_sign():

@@ -1,7 +1,7 @@
 import pytest
 
-from rootposets import verify
-from rootposets.affine import AffineWeylElement
+from rootposets import ideals, verify
+from rootposets.affine import AffineWeylElement, affine_simple_roots
 from rootposets.ideals import (
     MinimalElement,
     ad_edge_type_counts,
@@ -19,7 +19,6 @@ from rootposets.ideals import (
     ideal_count_closed_form,
     ideal_from_mask,
     ideal_from_roots,
-    ideal_powers,
     inclusion_poset,
     minimal_element,
     narayana_polynomial,
@@ -114,7 +113,7 @@ def test_without_generator():
 
 def test_ideal_powers_of_full_ideal():
     rs = root_system("C3")
-    powers = ideal_powers(full_ideal(rs))
+    powers = full_ideal(rs).powers
     # I^k is the set of roots of height >= k, so there are height(theta) = h-1 powers
     assert len(powers) == rs.h - 1
     for k, mask in enumerate(powers, start=1):
@@ -122,6 +121,33 @@ def test_ideal_powers_of_full_ideal():
             1 << i for i, g in enumerate(rs.positive_roots) if rs.height(g) >= k
         )
         assert mask == want
+
+
+def test_powers_are_kept_outside_equality_and_hash():
+    rs = root_system("D4")
+    read, fresh = full_ideal(rs), full_ideal(rs)
+    assert isinstance(read.powers, tuple) and read.powers is read.powers
+    assert read == fresh and hash(read) == hash(fresh)
+    assert "powers" not in repr(read)
+
+
+def test_building_and_checking_reads_the_powers_once(monkeypatch):
+    calls = []
+    original = ideals._power_mask
+
+    def counting(rs, mask_a, mask_b):
+        calls.append(mask_a)
+        return original(rs, mask_a, mask_b)
+
+    monkeypatch.setattr(ideals, "_power_mask", counting)
+    rs = root_system("D4")
+    # fresh ideals, so no power is cached from an earlier test
+    batch = [ideal_from_mask(rs, ideal.mask) for ideal in enumerate_upper_ideals(rs)]
+    for ideal in batch:
+        check_minimal_element(minimal_element(ideal))
+    assert len(calls) == 102
+    # one call per nonempty power, and one more for each ideal's empty last power
+    assert sum(len(ideal.powers) for ideal in batch) == 102
 
 
 def test_is_abelian():
@@ -245,6 +271,30 @@ def test_z_point_refuses_a_word_of_another_element():
     assert z_point(first) != z_point(second)
     with pytest.raises(RootSystemError, match="does not give the levels"):
         z_point(MinimalElement(first.ideal, first.element, second.word))
+
+
+@pytest.mark.parametrize("name", ["C3", "E6"])
+def test_four_routes_do_not_act_on_affine_simple_roots(name, monkeypatch):
+    rs = root_system(name)
+    batch = enumerate_upper_ideals(rs) if name == "C3" else sample_ideals(rs, verify.EDGE_SAMPLE_SIZE)
+    elements = [minimal_element(ideal) for ideal in batch]
+    simples = set(affine_simple_roots(rs))
+    on_simples = []
+    original = AffineWeylElement.act
+
+    def counting(self, ar):
+        if ar in simples:
+            on_simples.append(ar)
+        return original(self, ar)
+
+    monkeypatch.setattr(AffineWeylElement, "act", counting)
+    for me in elements:
+        generator_edge_types(me)
+        facet_types(me)
+        alcove_wall_types(me)
+        descent_types(me)
+    assert len(elements) == (20 if name == "C3" else 300)
+    assert on_simples == []
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C3", "G2"])

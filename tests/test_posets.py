@@ -40,11 +40,6 @@ def test_validation_rejects_non_posets():
         FinitePoset([1, 2, 4], lambda a, b: b == 2 * a or a == b)  # not transitive
 
 
-def test_validation_can_be_skipped():
-    p = FinitePoset([1, 2], lambda a, b: True, validate=False)
-    assert len(p) == 2
-
-
 def test_polynomial_basics():
     f = IntPolynomial([1, 10, 5])
     assert f.degree == 2
