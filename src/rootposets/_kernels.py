@@ -13,6 +13,12 @@ the letters peeled so far, and removes from the (fixed) row set the v_j of
 the lowest j still present.  Peeling s_j changes only v_j and its neighbours
 in the extended Dynkin diagram, so a word of length l costs O(l*n).  When
 the set is empty, v_i = w^{-1}(alpha_i).
+
+Given the final state of an earlier peel of x (its matrix and the images
+x^{-1}(alpha_i)), `peel` resumes from it and peels only further rows D: on
+success the element is u*x with N(u*x) = N(x) + D, so an ideal's element can
+be built from its parent's along a cover.  The word of a resumed peel holds
+only the letters it peeled; it is not the lowest-index word of u*x.
 """
 
 from __future__ import annotations
@@ -96,23 +102,37 @@ def reflect_columns(m: list[list[int]], j: int, tables: PeelTables) -> None:
 
 
 class Peeled(NamedTuple):
-    word: tuple[int, ...]  # a reduced word of w; the first letter peeled is last
+    word: tuple[int, ...]  # the letters this peel found; the first peeled is last
     matrix: Matrix  # w on affine-root coordinates
-    inverse: Matrix  # w^{-1}: columns w^{-1}(alpha_1), ..., w^{-1}(alpha_n), delta
+    images: Matrix  # w^{-1}(alpha_0), ..., w^{-1}(alpha_n): where a resumed peel starts
+
+    @property
+    def inverse(self) -> Matrix:
+        """w^{-1}: columns w^{-1}(alpha_1), ..., w^{-1}(alpha_n), delta."""
+        delta = (0,) * (len(self.images) - 1) + (1,)
+        return tuple(zip(*self.images[1:], delta))
 
 
-def peel(rows: Sequence[Sequence[int]], tables: PeelTables) -> Peeled:
+def peel(
+    rows: Sequence[Sequence[int]], tables: PeelTables, start: Peeled | None = None
+) -> Peeled:
     """The element whose inversion set is `rows`, peeling the lowest index first.
 
-    Raises PeelError if the rows are not the inversion set of an element.
+    With `start` (an earlier peel of x), the element u*x whose inversion set
+    is N(x) together with `rows`, which must not meet N(x).  Raises PeelError
+    if there is no such element.
     """
     remaining = set(map(tuple, rows))
     if len(remaining) != len(rows):
         raise PeelError("the rows contain duplicates")
     links = tables.links
-    images = list(tables.simples)  # v_i
+    if start is None:
+        images = list(tables.simples)  # v_i
+        matrix = identity_rows(len(images))
+    else:
+        images = list(start.images)
+        matrix = [list(row) for row in start.matrix]
     present = [v in remaining for v in images]
-    matrix = identity_rows(len(images))
     peeled = []
     while remaining:
         try:
@@ -129,5 +149,4 @@ def peel(rows: Sequence[Sequence[int]], tables: PeelTables) -> Peeled:
         reflect_rows(matrix, j, tables)
         peeled.append(j)
     peeled.reverse()
-    delta = (0,) * (len(images) - 1) + (1,)
-    return Peeled(tuple(peeled), tuple(map(tuple, matrix)), tuple(zip(*images[1:], delta)))
+    return Peeled(tuple(peeled), tuple(map(tuple, matrix)), tuple(images))

@@ -78,7 +78,7 @@ def abelian_poset(rs: RootSystem) -> FinitePoset:
 
 @lru_cache(maxsize=None)
 def abelian_generator_types(rs: RootSystem) -> dict[int, dict[Root, int]]:
-    """`generator_types` of the Abelian ideals of rs: one minimal element per ideal.
+    """`generator_types` of the Abelian ideals of rs: one peeled row per nonempty ideal.
 
     Cached per system and keyed by mask.  The cached dicts are shared: read
     them, do not mutate them.

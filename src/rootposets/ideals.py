@@ -18,6 +18,13 @@ delta).  The same multiset of types is recovered three more ways (facets of
 the point z = w(0), separating walls of w^{-1}*A, left descents of w).  The
 facet and descent routes read the same levels of w^{-1}(alpha_i), so they
 differ only by the walk of z along the reduced word.
+
+To type a whole lattice, `generator_types` builds the elements along its
+covers (`lattice_elements`) instead of one full peel per ideal.  The parent
+of I is I minus its first generator; w_I resumes the peel of the parent's
+element and peels only the rows of I's inversion set that the parent's
+lacks.  A successful peel yields exactly the target inversion set, so the
+element is the one `minimal_element` builds; its word is never formed.
 The Abelian ideals (`abelian`) share the antichain search and the typing.
 """
 
@@ -28,6 +35,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import zip_longest
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -244,13 +252,20 @@ class MinimalElement(NamedTuple):
     word: tuple[int, ...]
 
 
-def target_inversion_rows(ideal: UpperIdeal) -> list[tuple[int, ...]]:
-    """Rows (-gamma, k) for gamma in I^k: the inversion set of w."""
+def target_inversion_rows(
+    ideal: UpperIdeal, parent: UpperIdeal | None = None
+) -> list[tuple[int, ...]]:
+    """Rows (-gamma, k) for gamma in I^k: the inversion set of w.
+
+    With a `parent` P contained in I, only the rows for gamma in I^k but not
+    in P^k: the inversion set of w_I less that of w_P.
+    """
     pos = ideal.rs.positive_roots
+    below = parent.powers if parent is not None else ()
     return [
         (*(-c for c in pos[i]), k)
-        for k, mask in enumerate(ideal.powers, start=1)
-        for i in _bits(mask)
+        for k, (mask, lower) in enumerate(zip_longest(ideal.powers, below, fillvalue=0), start=1)
+        for i in _bits(mask & ~lower)
     ]
 
 
@@ -335,9 +350,48 @@ def generator_edge_types(me: MinimalElement) -> dict[Root, int]:
     return out
 
 
+def lattice_elements(
+    batch: Iterable[UpperIdeal],
+) -> Iterator[tuple[UpperIdeal, AffineWeylElement]]:
+    """(I, w_I) for each ideal of a batch of one system, smallest first.
+
+    w_I resumes the peel of w_P, P = I minus its first generator, with the
+    rows of I that P lacks: one row when I is Abelian.  Raises if a parent is
+    missing from the batch.
+    """
+    states: dict[int, tuple[UpperIdeal, _kernels.Peeled | None]] = {}
+    for ideal in sorted(batch, key=len):
+        rs = ideal.rs
+        if not ideal.generators:
+            states[ideal.mask] = (ideal, None)
+            yield ideal, AffineWeylElement.identity(rs)
+            continue
+        parent_mask = ideal.mask & ~(1 << rs.root_index[ideal.generators[0]])
+        try:
+            parent, start = states[parent_mask]
+        except KeyError:
+            raise RootSystemError(
+                f"the batch lacks the parent of the ideal generated by {ideal.generators}"
+            ) from None
+        rows = target_inversion_rows(ideal, parent)
+        try:
+            peeled = _kernels.peel(rows, _kernels.peel_tables(rs), start)
+        except _kernels.PeelError as exc:  # should be impossible for an upper ideal
+            raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
+        states[ideal.mask] = (ideal, peeled)
+        yield ideal, AffineWeylElement(rs, peeled.matrix, peeled.inverse)
+
+
 def generator_types(batch: Iterable[UpperIdeal]) -> dict[int, dict[Root, int]]:
-    """{ideal.mask: generator_edge_types(minimal_element(ideal))} over ideals of one system."""
-    return {ideal.mask: generator_edge_types(minimal_element(ideal)) for ideal in batch}
+    """{ideal.mask: generator edge types of w_I} over a batch of one system.
+
+    The elements come from `lattice_elements`, which builds no word;
+    `generator_edge_types` reads none.
+    """
+    return {
+        ideal.mask: generator_edge_types(MinimalElement(ideal, element, ()))
+        for ideal, element in lattice_elements(batch)
+    }
 
 
 def typed_edges(batch: Iterable[UpperIdeal], types: dict[int, dict[Root, int]]) -> list[IdealEdge]:

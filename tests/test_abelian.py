@@ -1,6 +1,6 @@
 import pytest
 
-from rootposets import abelian, verify
+from rootposets import _kernels, abelian, verify
 from rootposets.abelian import (
     ab_covering_polynomial,
     ab_edge_type_counts,
@@ -33,6 +33,7 @@ from rootposets.affine import fundamental_alcove_vertices
 from rootposets.ideals import (
     empty_ideal,
     generator_edge_types,
+    lattice_elements,
     minimal_element,
     principal_ideal,
 )
@@ -41,7 +42,6 @@ from rootposets.rootposet import delta_covering_polynomial
 from rootposets.rootsystem import RootSystemError, admissible_systems, root_system
 
 ALL_IDS = [str(sid) for sid in admissible_systems(8)]
-TABLE_IDS = [str(sid) for sid in admissible_systems(6)] + ["E8"]  # rank <= 6 includes F4
 
 
 def test_abelian_counts_are_powers_of_two(small_system):
@@ -159,14 +159,19 @@ def test_hyperplane_criterion_matches_alcove_vertices(name):
         assert hyperplane_meets_double_alcove(rs, gamma) == (max(values) > 0)
 
 
-@pytest.mark.parametrize("name", TABLE_IDS)
+@pytest.mark.parametrize("name", ALL_IDS)
 def test_generator_type_table_matches_fresh_typing(name):
+    # the lattice resumes the parent's peel; each element must be the one a
+    # full peel of the ideal builds, inverse included
     rs = root_system(name)
     table = abelian_generator_types(rs)
     ideals = enumerate_abelian_ideals(rs)
     assert set(table) == {ideal.mask for ideal in ideals}
-    for ideal in ideals:
-        assert table[ideal.mask] == generator_edge_types(minimal_element(ideal))
+    for ideal, element in lattice_elements(ideals):
+        me = minimal_element(ideal)
+        assert element == me.element
+        assert element.inverse_matrix == me.element.inverse_matrix
+        assert table[ideal.mask] == generator_edge_types(me)
 
 
 def test_generator_type_table_is_per_system():
@@ -190,15 +195,17 @@ def test_generator_type_table_is_per_system():
         assert abelian_generator_types(c3)[c.mask] == generator_edge_types(minimal_element(c))
 
 
-def test_one_minimal_element_per_abelian_ideal(monkeypatch):
+def test_abelian_typing_peels_one_row_per_ideal(monkeypatch):
     rs = root_system("F4")
-    calls = []
+    built, peeled = [], []
+    original = _kernels.peel
 
-    def counted(ideal):
-        calls.append((str(ideal.rs.id), ideal.mask))
-        return minimal_element(ideal)
+    def counted(rows, tables, start=None):
+        peeled.append(len(rows))
+        return original(rows, tables, start)
 
-    monkeypatch.setattr("rootposets.ideals.minimal_element", counted)
+    monkeypatch.setattr("rootposets.ideals.minimal_element", built.append)
+    monkeypatch.setattr("rootposets._kernels.peel", counted)
     abelian.abelian_generator_types.cache_clear()
     abelian.commutative_roots.cache_clear()
     try:
@@ -210,7 +217,10 @@ def test_one_minimal_element_per_abelian_ideal(monkeypatch):
     finally:
         abelian.abelian_generator_types.cache_clear()
         abelian.commutative_roots.cache_clear()
-    assert sorted(calls) == sorted(("F4", ideal.mask) for ideal in enumerate_abelian_ideals(rs))
+    # each nonempty Abelian ideal I adds the one row delta - gamma to its
+    # parent's inversion set, gamma the generator removed
+    assert built == []
+    assert peeled == [1] * (len(enumerate_abelian_ideals(rs)) - 1) == [1] * 15
 
 
 def test_covering_suite_builds_no_minimal_element(monkeypatch):

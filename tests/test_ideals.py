@@ -16,10 +16,12 @@ from rootposets.ideals import (
     facet_types,
     full_ideal,
     generator_edge_types,
+    generator_types,
     ideal_count_closed_form,
     ideal_from_mask,
     ideal_from_roots,
     inclusion_poset,
+    lattice_elements,
     minimal_element,
     narayana_polynomial,
     principal_ideal,
@@ -231,8 +233,9 @@ def test_verify_builds_each_minimal_element_once(monkeypatch):
     monkeypatch.setattr("rootposets.ideals.minimal_element", counting)
     assert all(r.passed for r in verify.suite_ad(4))
     # 432 ideals of rank <= 4, read again by the four-route lines; the sl4
-    # lines build 14 + 1 more
-    assert len(built) == 447
+    # lines build 1 more (their edge counts come from the lattice, which
+    # builds no minimal element)
+    assert len(built) == 433
 
 
 def test_facet_types_do_not_rerun_the_check(monkeypatch):
@@ -318,6 +321,37 @@ def test_edge_counts(small_system):
         assert len(e.lower) == len(e.upper) - 1
         assert e.lower.mask & ~e.upper.mask == 0
         assert 0 <= e.type_index <= rs.rank
+
+
+@pytest.mark.parametrize("name", [str(sid) for sid in admissible_systems(4)] + ["E6"])
+def test_lattice_elements_match_the_full_peel(name):
+    rs = root_system(name)
+    batch = enumerate_upper_ideals(rs)
+    types = generator_types(batch)
+    built = list(lattice_elements(batch))
+    assert [ideal for ideal, _ in built] == list(batch)
+    for ideal, element in built:
+        me = minimal_element(ideal)
+        assert element == me.element
+        assert element.inverse_matrix == me.element.inverse_matrix
+        assert types[ideal.mask] == generator_edge_types(me)
+
+
+def test_lattice_refuses_a_batch_without_a_parent():
+    rs = root_system("B3")
+    batch = enumerate_upper_ideals(rs)
+    with pytest.raises(RootSystemError, match="lacks the parent"):
+        generator_types([full_ideal(rs)])
+    with pytest.raises(RootSystemError, match="lacks the parent"):
+        generator_types(batch[1:])  # no empty ideal
+    assert generator_types(batch[:1]) == {0: {}}
+
+
+def test_e7_edge_type_counts():
+    # one lattice walk over all 4160 ideals; the edges number (7/2) * 4160
+    counts = ad_edge_type_counts(root_system("E7"))
+    assert counts == [1011, 902, 1729, 2288, 2804, 2368, 1729, 1729]
+    assert sum(counts) == 14560 == 7 * 4160 // 2
 
 
 def test_golden_sl4_statistics():

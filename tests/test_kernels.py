@@ -107,3 +107,28 @@ def test_peel_word_matches_pure_python_reference():
         reference = word_from_inversion_set(rs, element.inversion_set())
         assert AffineWeylElement.from_word(rs, reference) == element
         assert len(reference) == len(peeled.word)
+
+
+def test_resumed_peel_extends_the_parent_element():
+    # w_I = u * w_P with N(w_I) = N(w_P) + D: resuming P's peel with D
+    # builds the element of the full peel of I
+    rs = root_system("C3")
+    tables = _kernels.peel_tables(rs)
+    for ideal in enumerate_upper_ideals(rs)[1:]:
+        parent = ideal.without_generator(ideal.generators[0])
+        start = _kernels.peel(target_inversion_rows(parent), tables) if len(parent) else None
+        rows = target_inversion_rows(ideal, parent)
+        assert set(rows) == set(target_inversion_rows(ideal)) - set(target_inversion_rows(parent))
+        resumed = _kernels.peel(rows, tables, start)
+        full = _kernels.peel(target_inversion_rows(ideal), tables)
+        assert len(resumed.word) == len(rows)
+        assert (resumed.matrix, resumed.images) == (full.matrix, full.images)
+
+
+def test_resumed_peel_rejects_a_row_already_inverted():
+    rs = root_system("B3")
+    tables = _kernels.peel_tables(rs)
+    rows = target_inversion_rows(enumerate_upper_ideals(rs)[-1])
+    start = _kernels.peel(rows, tables)
+    with pytest.raises(_kernels.PeelError):
+        _kernels.peel(rows[:1], tables, start)
