@@ -359,27 +359,41 @@ def lattice_elements(
     rows of I that P lacks: one row when I is Abelian.  Raises if a parent is
     missing from the batch.
     """
+    ordered = sorted(batch, key=len)
+    parent_masks = {
+        ideal.mask: ideal.mask & ~(1 << ideal.rs.root_index[ideal.generators[0]])
+        for ideal in ordered
+        if ideal.generators
+    }
+    # a state is dropped after its last child is built: a walk over the
+    # 25 080 E8 ideals then holds at most 403 states at once
+    children = Counter(parent_masks.values())
     states: dict[int, tuple[UpperIdeal, _kernels.Peeled | None]] = {}
-    for ideal in sorted(batch, key=len):
+    for ideal in ordered:
         rs = ideal.rs
-        if not ideal.generators:
-            states[ideal.mask] = (ideal, None)
-            yield ideal, AffineWeylElement.identity(rs)
-            continue
-        parent_mask = ideal.mask & ~(1 << rs.root_index[ideal.generators[0]])
-        try:
-            parent, start = states[parent_mask]
-        except KeyError:
-            raise RootSystemError(
-                f"the batch lacks the parent of the ideal generated by {ideal.generators}"
-            ) from None
-        rows = target_inversion_rows(ideal, parent)
-        try:
-            peeled = _kernels.peel(rows, _kernels.peel_tables(rs), start)
-        except _kernels.PeelError as exc:  # should be impossible for an upper ideal
-            raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
-        states[ideal.mask] = (ideal, peeled)
-        yield ideal, AffineWeylElement(rs, peeled.matrix, peeled.inverse)
+        parent_mask = parent_masks.get(ideal.mask)
+        if parent_mask is None:
+            peeled = None
+            element = AffineWeylElement.identity(rs)
+        else:
+            try:
+                parent, start = states[parent_mask]
+            except KeyError:
+                raise RootSystemError(
+                    f"the batch lacks the parent of the ideal generated by {ideal.generators}"
+                ) from None
+            children[parent_mask] -= 1
+            if not children[parent_mask]:
+                del states[parent_mask]
+            rows = target_inversion_rows(ideal, parent)
+            try:
+                peeled = _kernels.peel(rows, _kernels.peel_tables(rs), start)
+            except _kernels.PeelError as exc:  # should be impossible for an upper ideal
+                raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
+            element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
+        if children[ideal.mask]:
+            states[ideal.mask] = (ideal, peeled)
+        yield ideal, element
 
 
 def generator_types(batch: Iterable[UpperIdeal]) -> dict[int, dict[Root, int]]:
