@@ -20,8 +20,9 @@ REPORT_KINDS = ("roots", "hasse", "ideals", "abelian", "classes", "covering")
 EXPORT_KINDS = ("delta", "ad", "ab")
 
 # Typing every edge builds one affine Weyl element per ideal along the
-# lattice's covers (about 2 s for E7 and 25 s for E8 on a 2-core VM), which
-# is still not interactive for E8; larger systems require --exhaustive.
+# lattice's covers: about 2 s for E7 and 25-40 s for E8 on a shared 2-core
+# VM.  Systems with more ideals than this (E7, E8) still require
+# --exhaustive: lifting the gate would change what `report` prints.
 TYPED_EDGE_GATE = 1000
 
 
