@@ -1,6 +1,7 @@
 """Command-line front end: report tables, export DOT diagrams, run verification.
 
-Exit codes: 0 success, 1 failed verification or unwritable output, 2 bad flags.
+Exit codes: 0 success, 1 failed verification or unwritable output, 2 bad flags
+or unknown system.
 All output is byte-deterministic for fixed flags.
 """
 
@@ -18,12 +19,6 @@ from .rootsystem import RootSystem, RootSystemError, root_system
 
 REPORT_KINDS = ("roots", "hasse", "ideals", "abelian", "classes", "covering")
 EXPORT_KINDS = ("delta", "ad", "ab")
-
-# Typing every edge builds one affine Weyl element per ideal along the
-# lattice's covers: about 2 s for E7 and 25-40 s for E8 on a shared 2-core
-# VM.  Systems with more ideals than this (E7, E8) still require
-# --exhaustive: lifting the gate would change what `report` prints.
-TYPED_EDGE_GATE = 1000
 
 
 def _resolve_system(type_str: str, rank: int | None) -> RootSystem:
@@ -95,13 +90,11 @@ def _report_hasse(rs: RootSystem, fmt: str) -> str:
     return f"{rs.id}: {sum(counts)} edges ({pieces})\n"
 
 
-def _report_ideals(rs: RootSystem, fmt: str, exhaustive: bool) -> str:
+def _report_ideals(rs: RootSystem, fmt: str) -> str:
     all_ideals = ideals.enumerate_upper_ideals(rs)
     n_edges = sum(len(ideal.generators) for ideal in all_ideals)
     nara = ideals.narayana_polynomial(rs)
-    typed = None
-    if exhaustive or len(all_ideals) <= TYPED_EDGE_GATE:
-        typed = ideals.ad_edge_type_counts(rs)
+    typed = ideals.ad_edge_type_counts(rs)
     if fmt == "json":
         return _dump_json(
             {
@@ -120,18 +113,13 @@ def _report_ideals(rs: RootSystem, fmt: str, exhaustive: bool) -> str:
             ["n_edges", n_edges],
             ["narayana_coeffs", " ".join(map(str, nara.coeffs))],
         ]
-        if typed is not None:
-            rows += [[f"type_{i}", c] for i, c in enumerate(typed)]
+        rows += [[f"type_{i}", c] for i, c in enumerate(typed)]
         return _dump_csv(rows)
     lines = [f"{rs.id}: {len(all_ideals)} ideals, {n_edges} edges"]
     lines.append(f"  generator-count polynomial: {nara}")
-    if typed is not None:
-        lines.append(
-            "  per-type edges: "
-            + ", ".join(f"a{i}: {c}" for i, c in enumerate(typed))
-        )
-    else:
-        lines.append("  per-type edges: skipped (pass --exhaustive to compute)")
+    lines.append(
+        "  per-type edges: " + ", ".join(f"a{i}: {c}" for i, c in enumerate(typed))
+    )
     return "\n".join(lines) + "\n"
 
 
@@ -222,7 +210,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     elif args.what == "hasse":
         text = _report_hasse(rs, args.format)
     elif args.what == "ideals":
-        text = _report_ideals(rs, args.format, args.exhaustive)
+        text = _report_ideals(rs, args.format)
     elif args.what == "abelian":
         text = _report_abelian(rs, args.format)
     elif args.what == "classes":
@@ -251,12 +239,8 @@ def _ideal_label(ideal) -> str:
     return "+".join(_coeff_str(g) for g in ideal.generators)
 
 
-def _export_ad(rs: RootSystem, exhaustive: bool) -> str:
+def _export_ad(rs: RootSystem) -> str:
     all_ideals = ideals.enumerate_upper_ideals(rs)
-    if len(all_ideals) > TYPED_EDGE_GATE and not exhaustive:
-        raise RootSystemError(
-            f"{rs.id} has {len(all_ideals)} ideals; pass --exhaustive to export"
-        )
     index = {ideal: i for i, ideal in enumerate(all_ideals)}
     labels = [_ideal_label(ideal) for ideal in all_ideals]
     edges = [
@@ -282,7 +266,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what == "delta":
         text = _export_delta(rs)
     elif args.what == "ad":
-        text = _export_ad(rs, args.exhaustive)
+        text = _export_ad(rs)
     else:
         text = _export_ab(rs)
     return _emit(text, args.out)
@@ -333,15 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_system_flags(rep)
     rep.add_argument("--what", required=True, choices=REPORT_KINDS)
     rep.add_argument("--format", default="text", choices=("text", "json", "csv"))
-    rep.add_argument("--exhaustive", action="store_true",
-                     help="lift the size gate on per-type edge computations")
     rep.set_defaults(func=cmd_report)
 
     exp = sub.add_parser("export", help="write a DOT diagram for one root system")
     add_system_flags(exp)
     exp.add_argument("--what", required=True, choices=EXPORT_KINDS)
-    exp.add_argument("--exhaustive", action="store_true",
-                     help="lift the size gate on per-type edge computations")
     exp.set_defaults(func=cmd_export)
 
     ver = sub.add_parser("verify", help="run the verification suites")

@@ -408,10 +408,15 @@ def generator_types(batch: Iterable[UpperIdeal]) -> dict[int, dict[Root, int]]:
     }
 
 
-def typed_edges(batch: Iterable[UpperIdeal], types: dict[int, dict[Root, int]]) -> list[IdealEdge]:
-    """The edges I -> I \\ {gamma} of a batch, typed by its `generator_types`."""
+def typed_edges(batch: Sequence[UpperIdeal], types: dict[int, dict[Root, int]]) -> list[IdealEdge]:
+    """The edges I -> I \\ {gamma} of a batch, typed by its `generator_types`.
+
+    Each lower ideal is looked up in the batch by its mask, so the batch must
+    be closed under removing a generator, as the full and Abelian lattices are.
+    """
+    by_mask = {ideal.mask: ideal for ideal in batch}
     return [
-        IdealEdge(ideal, ideal.without_generator(gamma), t)
+        IdealEdge(ideal, by_mask[ideal.mask & ~(1 << ideal.rs.root_index[gamma])], t)
         for ideal in batch
         for gamma, t in types[ideal.mask].items()
     ]
@@ -512,7 +517,11 @@ def inclusion_poset(batch: Sequence[UpperIdeal]) -> FinitePoset:
     return FinitePoset(batch, lambda a, b: a.mask & ~b.mask == 0)
 
 
-def sample_ideals(rs: RootSystem, count: int, seed: int = 2004) -> list[UpperIdeal]:
+# fixed so that `verify` reports are byte-identical from run to run
+SAMPLE_SEED = 2004
+
+
+def sample_ideals(rs: RootSystem, count: int) -> list[UpperIdeal]:
     """A deterministic sample always containing the empty, full and principal ideals."""
     ideals = enumerate_upper_ideals(rs)
     if len(ideals) <= count:
@@ -521,6 +530,6 @@ def sample_ideals(rs: RootSystem, count: int, seed: int = 2004) -> list[UpperIde
     forced_masks.update(principal_ideal(rs, g).mask for g in rs.positive_roots)
     forced = [ideal for ideal in ideals if ideal.mask in forced_masks]
     rest = [ideal for ideal in ideals if ideal.mask not in forced_masks]
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     extra = max(0, count - len(forced))
     return forced + (rng.sample(rest, extra) if extra else [])

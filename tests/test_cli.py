@@ -60,11 +60,20 @@ def test_report_json_is_compact_and_sorted(capsys):
     assert out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def test_report_ideals_gate_on_large_system(capsys):
+E7_TYPE_COUNTS = [1011, 902, 1729, 2288, 2804, 2368, 1729, 1729]
+
+
+def test_report_ideals_types_every_edge_of_e7(capsys):
     code, out, _ = run(capsys, "report", "--type", "E7", "--what", "ideals")
     assert code == 0
-    assert "skipped (pass --exhaustive to compute)" in out
-    assert out.splitlines()[0] == "E7: 4160 ideals, 14560 edges"
+    lines = out.splitlines()
+    assert lines[0] == "E7: 4160 ideals, 14560 edges"
+    assert lines[2] == "  per-type edges: " + ", ".join(
+        f"a{i}: {c}" for i, c in enumerate(E7_TYPE_COUNTS)
+    )
+    code, out, _ = run(capsys, "report", "--type", "E7", "--what", "ideals", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["per_type_counts"] == E7_TYPE_COUNTS
 
 
 def test_export_delta_counts(capsys):
@@ -86,11 +95,20 @@ def test_export_ad_and_ab(capsys):
     assert out.count('type="') == 20
 
 
-def test_export_ad_gate(capsys):
-    code, out, err = run(capsys, "export", "--what", "ad", "--type", "E8")
-    assert code == 2
-    assert out == ""
-    assert "pass --exhaustive to export" in err
+def test_export_ad_e7_has_every_typed_edge(capsys):
+    code, out, _ = run(capsys, "export", "--what", "ad", "--type", "E7")
+    assert code == 0
+    assert out.count("[label=") == 4160
+    assert out.count(" -> ") == 14560
+    assert [out.count(f'[type="{i}"') for i in range(8)] == E7_TYPE_COUNTS
+
+
+@pytest.mark.parametrize("argv", (["report", "--what", "ideals"], ["export", "--what", "ad"]))
+def test_report_and_export_reject_exhaustive(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--type", "A2", "--exhaustive"])
+    assert exc.value.code == 2
+    assert "--exhaustive" in capsys.readouterr().err
 
 
 def test_bad_system_is_exit_2(capsys):
