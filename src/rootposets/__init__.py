@@ -10,8 +10,6 @@ class tables and covering polynomials that govern those diagrams.
 from .abelian import (
     CommutativeRoot,
     ab_covering_polynomial,
-    ab_edge_type_counts,
-    ab_typed_edges,
     abelian_poset,
     class_map,
     commutative_roots,
@@ -24,8 +22,6 @@ from .ideals import (
     IdealEdge,
     MinimalElement,
     UpperIdeal,
-    ad_edge_type_counts,
-    ad_typed_edges,
     check_minimal_element,
     empty_ideal,
     enumerate_upper_ideals,
@@ -34,6 +30,8 @@ from .ideals import (
     minimal_element,
     narayana_polynomial,
     principal_ideal,
+    type_counts,
+    typed_edges,
 )
 from .posets import FinitePoset, IntPolynomial, export_dot
 from .rootposet import (
@@ -74,11 +72,7 @@ __all__ = [
     "Wall",
     "WeightSystem",
     "ab_covering_polynomial",
-    "ab_edge_type_counts",
-    "ab_typed_edges",
     "abelian_poset",
-    "ad_edge_type_counts",
-    "ad_typed_edges",
     "admissible_systems",
     "check_minimal_element",
     "class_map",
@@ -101,6 +95,8 @@ __all__ = [
     "run_suite",
     "short_root_subdiagram",
     "suter_tau",
+    "type_counts",
+    "typed_edges",
     "typed_hasse_edges",
     "weight_diagram_edges",
     "weight_system",

@@ -4,7 +4,7 @@ An affine root mu + k*delta is the integer row (mu in simple-root
 coordinates..., k).  Generator j acts on a row x as
 ``x - (h[j] . x) * a[j]``, where a[j] is the affine simple root alpha_j and
 h[j] . x = <x, alpha_j^vee>; both vectors are sparse, so reflecting a matrix
-touches few rows or columns.
+(`reflect_rows`, m <- s_j m) touches few rows.
 
 `peel` recovers the element w whose inversion set is a given set of rows.
 Rather than reflecting every remaining row at each step, it keeps
@@ -89,16 +89,6 @@ def reflect_rows(m: list[list[int]], j: int, tables: PeelTables) -> None:
         combo = [h * x for x in row] if combo is None else [y + h * x for x, y in zip(row, combo)]
     for c, a in tables.simple_support[j]:
         m[c] = [x - a * y for x, y in zip(m[c], combo)]
-
-
-def reflect_columns(m: list[list[int]], j: int, tables: PeelTables) -> None:
-    """m <- m s_j in place: m - (m a[j]) h[j]."""
-    simple, coroot = tables.simple_support[j], tables.coroot_support[j]
-    for row in m:
-        image = sum(a * row[c] for c, a in simple)
-        if image:
-            for c, h in coroot:
-                row[c] -= h * image
 
 
 class Peeled(NamedTuple):

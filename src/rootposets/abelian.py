@@ -19,7 +19,6 @@ from importlib import resources
 from typing import Iterable, NamedTuple
 
 from .ideals import (
-    IdealEdge,
     UpperIdeal,
     _antichain_ideals,
     _bits,
@@ -29,8 +28,6 @@ from .ideals import (
     ideal_from_mask,
     inclusion_poset,
     principal_ideal,
-    type_counts,
-    typed_edges,
 )
 from .posets import FinitePoset, IntPolynomial
 from .rootsystem import Root, RootSystem, RootSystemError
@@ -76,24 +73,6 @@ def abelian_poset(rs: RootSystem) -> FinitePoset:
     return inclusion_poset(enumerate_abelian_ideals(rs))
 
 
-@lru_cache(maxsize=None)
-def abelian_generator_types(rs: RootSystem) -> dict[int, dict[Root, int]]:
-    """`generator_types` of the Abelian ideals of rs: one peeled row per nonempty ideal.
-
-    Cached per system and keyed by mask.  The cached dicts are shared: read
-    them, do not mutate them.
-    """
-    return generator_types(enumerate_abelian_ideals(rs))
-
-
-def ab_typed_edges(rs: RootSystem) -> list[IdealEdge]:
-    return typed_edges(enumerate_abelian_ideals(rs), abelian_generator_types(rs))
-
-
-def ab_edge_type_counts(rs: RootSystem) -> list[int]:
-    return type_counts(rs, abelian_generator_types(rs))
-
-
 def expected_ab_edge_count(rs: RootSystem) -> int:
     n = rs.rank
     return (n + 1) * 2 ** (n - 2) if n >= 2 else 1
@@ -134,7 +113,7 @@ def abelian_principal_ideals(rs: RootSystem) -> list[UpperIdeal]:
 @lru_cache(maxsize=None)
 def commutative_roots(rs: RootSystem) -> tuple[CommutativeRoot, ...]:
     """Roots whose principal ideal is Abelian, with their edge classes."""
-    types = abelian_generator_types(rs)
+    types = generator_types(enumerate_abelian_ideals(rs))
     out = []
     for ideal in abelian_principal_ideals(rs):
         (gamma,) = ideal.generators
@@ -203,7 +182,7 @@ def hyperplane_meets_double_alcove(rs: RootSystem, gamma: Root) -> bool:
 def check_class_independence(rs: RootSystem) -> dict[Root, int]:
     """Class of a commutative root recomputed in every Abelian ideal it generates."""
     observed: dict[Root, set[int]] = {}
-    for types in abelian_generator_types(rs).values():
+    for types in generator_types(enumerate_abelian_ideals(rs)).values():
         for gamma, t in types.items():
             observed.setdefault(gamma, set()).add(t)
     classes = class_map(rs)
@@ -419,7 +398,7 @@ def long_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
 def long_abelian_edge_type_counts(rs: RootSystem) -> list[int]:
     """Typed edges of the Hasse diagram restricted to long Abelian ideals."""
     masks = {ideal.mask for ideal in long_abelian_ideals(rs)}
-    types = abelian_generator_types(rs)
+    types = generator_types(enumerate_abelian_ideals(rs))
     counts = [0] * (rs.rank + 1)
     for mask in masks:
         for gamma, t in types[mask].items():

@@ -87,8 +87,17 @@ class AffineWeylElement:
 
     @staticmethod
     def from_word(rs: RootSystem, word: Sequence[int]) -> "AffineWeylElement":
-        eye = _kernels.identity_rows(rs.rank + 1)
-        return _times_word(rs, eye, eye, word)
+        """s_word: the matrix from the last letter leftwards, the inverse from the first."""
+        tables = _kernels.peel_tables(rs)
+        m = _kernels.identity_rows(rs.rank + 1)
+        inv = _kernels.identity_rows(rs.rank + 1)
+        for i in word:
+            if not 0 <= i <= rs.rank:
+                raise RootSystemError(f"affine generator index {i} out of range 0..{rs.rank}")
+            _kernels.reflect_rows(inv, i, tables)
+        for i in reversed(word):
+            _kernels.reflect_rows(m, i, tables)
+        return AffineWeylElement(rs, _frozen(m), _frozen(inv))
 
     # -- group structure ------------------------------------------------------
 
@@ -154,21 +163,6 @@ class AffineWeylElement:
     def right_descents(self) -> set[int]:
         """{i : l(w s_i) < l(w)}, i.e. simple affine roots made negative by w."""
         return {i for i, a in enumerate(self.simple_images()) if not is_positive_affine(a)}
-
-
-def _times_word(
-    rs: RootSystem, matrix: Matrix, inverse: Matrix, word: Sequence[int]
-) -> AffineWeylElement:
-    """(matrix) * s_word, with the inverse updated alongside."""
-    tables = _kernels.peel_tables(rs)
-    m = [list(row) for row in matrix]
-    inv = [list(row) for row in inverse]
-    for i in word:
-        if not 0 <= i <= rs.rank:
-            raise RootSystemError(f"affine generator index {i} out of range 0..{rs.rank}")
-        _kernels.reflect_columns(m, i, tables)
-        _kernels.reflect_rows(inv, i, tables)
-    return AffineWeylElement(rs, _frozen(m), _frozen(inv))
 
 
 def word_from_inversion_set(

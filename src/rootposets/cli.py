@@ -94,7 +94,7 @@ def _report_ideals(rs: RootSystem, fmt: str) -> str:
     all_ideals = ideals.enumerate_upper_ideals(rs)
     n_edges = sum(len(ideal.generators) for ideal in all_ideals)
     nara = ideals.narayana_polynomial(rs)
-    typed = ideals.ad_edge_type_counts(rs)
+    typed = ideals.type_counts(all_ideals)
     if fmt == "json":
         return _dump_json(
             {
@@ -125,7 +125,7 @@ def _report_ideals(rs: RootSystem, fmt: str) -> str:
 
 def _report_abelian(rs: RootSystem, fmt: str) -> str:
     ab = abelian.enumerate_abelian_ideals(rs)
-    counts = abelian.ab_edge_type_counts(rs)
+    counts = ideals.type_counts(ab)
     cov = abelian.ab_covering_polynomial(rs)
     comm = abelian.commutative_roots(rs)
     if fmt == "json":
@@ -239,26 +239,14 @@ def _ideal_label(ideal) -> str:
     return "+".join(_coeff_str(g) for g in ideal.generators)
 
 
-def _export_ad(rs: RootSystem) -> str:
-    all_ideals = ideals.enumerate_upper_ideals(rs)
-    index = {ideal: i for i, ideal in enumerate(all_ideals)}
-    labels = [_ideal_label(ideal) for ideal in all_ideals]
+def _export_ideals(batch: tuple[ideals.UpperIdeal, ...], graph_name: str) -> str:
+    index = {ideal: i for i, ideal in enumerate(batch)}
+    labels = [_ideal_label(ideal) for ideal in batch]
     edges = [
         (index[e.upper], index[e.lower], str(e.type_index))
-        for e in ideals.ad_typed_edges(rs)
+        for e in ideals.typed_edges(batch)
     ]
-    return export_dot(labels, edges, graph_name="ad_ideals")
-
-
-def _export_ab(rs: RootSystem) -> str:
-    ab = abelian.enumerate_abelian_ideals(rs)
-    index = {ideal: i for i, ideal in enumerate(ab)}
-    labels = [_ideal_label(ideal) for ideal in ab]
-    edges = [
-        (index[e.upper], index[e.lower], str(e.type_index))
-        for e in abelian.ab_typed_edges(rs)
-    ]
-    return export_dot(labels, edges, graph_name="abelian_ideals")
+    return export_dot(labels, edges, graph_name=graph_name)
 
 
 def cmd_export(args: argparse.Namespace) -> int:
@@ -266,9 +254,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.what == "delta":
         text = _export_delta(rs)
     elif args.what == "ad":
-        text = _export_ad(rs)
+        text = _export_ideals(ideals.enumerate_upper_ideals(rs), "ad_ideals")
     else:
-        text = _export_ab(rs)
+        text = _export_ideals(abelian.enumerate_abelian_ideals(rs), "abelian_ideals")
     return _emit(text, args.out)
 
 

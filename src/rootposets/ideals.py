@@ -75,12 +75,6 @@ class UpperIdeal:
         i = self.rs.root_index.get(root)
         return i is not None and self.mask >> i & 1
 
-    def without_generator(self, gamma: Root) -> "UpperIdeal":
-        if gamma not in self.generators:
-            raise RootSystemError(f"{gamma} is not a generator")
-        mask = self.mask & ~(1 << self.rs.root_index[gamma])
-        return ideal_from_mask(self.rs, mask)
-
     def is_abelian(self) -> bool:
         return not _power_mask(self.rs, self.mask, self.mask)
 
@@ -396,11 +390,15 @@ def lattice_elements(
         yield ideal, element
 
 
-def generator_types(batch: Iterable[UpperIdeal]) -> dict[int, dict[Root, int]]:
+@lru_cache(maxsize=None)
+def generator_types(batch: tuple[UpperIdeal, ...]) -> dict[int, dict[Root, int]]:
     """{ideal.mask: generator edge types of w_I} over a batch of one system.
 
-    The elements come from `lattice_elements`, which builds no word;
-    `generator_edge_types` reads none.
+    The one typing of a lattice: cached per batch, which both enumerations
+    return as cached tuples, so each lattice is walked once per process.  The
+    cached dicts are shared: read them, do not mutate them.  The elements come
+    from `lattice_elements`, which builds no word; `generator_edge_types`
+    reads none.
     """
     return {
         ideal.mask: generator_edge_types(MinimalElement(ideal, element, ()))
@@ -408,12 +406,13 @@ def generator_types(batch: Iterable[UpperIdeal]) -> dict[int, dict[Root, int]]:
     }
 
 
-def typed_edges(batch: Sequence[UpperIdeal], types: dict[int, dict[Root, int]]) -> list[IdealEdge]:
+def typed_edges(batch: tuple[UpperIdeal, ...]) -> list[IdealEdge]:
     """The edges I -> I \\ {gamma} of a batch, typed by its `generator_types`.
 
     Each lower ideal is looked up in the batch by its mask, so the batch must
     be closed under removing a generator, as the full and Abelian lattices are.
     """
+    types = generator_types(batch)
     by_mask = {ideal.mask: ideal for ideal in batch}
     return [
         IdealEdge(ideal, by_mask[ideal.mask & ~(1 << ideal.rs.root_index[gamma])], t)
@@ -422,22 +421,13 @@ def typed_edges(batch: Sequence[UpperIdeal], types: dict[int, dict[Root, int]]) 
     ]
 
 
-def type_counts(rs: RootSystem, types: dict[int, dict[Root, int]]) -> list[int]:
-    """Number of edges of each type 0..n, read from `generator_types`."""
-    counts = [0] * (rs.rank + 1)
-    for ideal_types in types.values():
+def type_counts(batch: tuple[UpperIdeal, ...]) -> list[int]:
+    """Number of edges of each type 0..n of a nonempty batch, from `generator_types`."""
+    counts = [0] * (batch[0].rs.rank + 1)
+    for ideal_types in generator_types(batch).values():
         for t in ideal_types.values():
             counts[t] += 1
     return counts
-
-
-def ad_typed_edges(rs: RootSystem) -> list[IdealEdge]:
-    batch = enumerate_upper_ideals(rs)
-    return typed_edges(batch, generator_types(batch))
-
-
-def ad_edge_type_counts(rs: RootSystem) -> list[int]:
-    return type_counts(rs, generator_types(enumerate_upper_ideals(rs)))
 
 
 def _affine_values(rs: RootSystem, x: Sequence[int]) -> list[int]:

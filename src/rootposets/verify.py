@@ -236,7 +236,7 @@ def suite_ad(max_rank: int = 8, exhaustive: bool = False) -> list[CheckResult]:
     if max_rank >= 3:
         rs = root_system("A3")
         all_ideals = ideals.enumerate_upper_ideals(rs)
-        counts = ideals.ad_edge_type_counts(rs)
+        counts = ideals.type_counts(all_ideals)
         rec.check(
             f"sl4: 14 ideals, 21 edges, per-type multiset {{4,5,6,6}} "
             f"(observed {counts})",
@@ -284,7 +284,7 @@ def suite_abelian(max_rank: int = 8, exhaustive: bool = False) -> list[CheckResu
             len(ab) == 2 ** n,
             f"expected {2 ** n}",
         )
-        counts = abelian.ab_edge_type_counts(rs)
+        counts = ideals.type_counts(ab)
         rec.check(
             f"{rs.id}: (n+1)2^(n-2) edges ({sum(counts)})",
             sum(counts) == abelian.expected_ab_edge_count(rs),
@@ -408,7 +408,7 @@ def _assert_rotation_laws(rs: RootSystem, n: int) -> None:
             raise AssertionError("order exceeds n+1")
     if order != n + 1:
         raise AssertionError(f"order {order} != {n + 1}")
-    edges = abelian.ab_typed_edges(rs)
+    edges = ideals.typed_edges(ab)
     typed = {frozenset((e.upper, e.lower)): e.type_index for e in edges}
     for e in edges:
         image = frozenset((tau[e.upper], tau[e.lower]))

@@ -3,9 +3,6 @@ import pytest
 from rootposets import _kernels, abelian, verify
 from rootposets.abelian import (
     ab_covering_polynomial,
-    ab_edge_type_counts,
-    ab_typed_edges,
-    abelian_generator_types,
     abelian_poset,
     boolean_lattice_covering_polynomial,
     check_adjacent_classes,
@@ -33,9 +30,12 @@ from rootposets.affine import fundamental_alcove_vertices
 from rootposets.ideals import (
     empty_ideal,
     generator_edge_types,
+    generator_types,
     lattice_elements,
     minimal_element,
     principal_ideal,
+    type_counts,
+    typed_edges,
 )
 from rootposets.posets import IntPolynomial
 from rootposets.rootposet import delta_covering_polynomial
@@ -52,9 +52,9 @@ def test_abelian_counts_are_powers_of_two(small_system):
 
 
 def test_abelian_edge_counts(small_system):
-    edges = ab_typed_edges(small_system)
-    assert len(edges) == expected_ab_edge_count(small_system)
-    assert ab_edge_type_counts(small_system) == expected_ab_edge_type_counts(small_system)
+    batch = enumerate_abelian_ideals(small_system)
+    assert len(typed_edges(batch)) == expected_ab_edge_count(small_system)
+    assert type_counts(batch) == expected_ab_edge_type_counts(small_system)
 
 
 @pytest.mark.parametrize(
@@ -68,12 +68,12 @@ def test_abelian_edge_counts(small_system):
     ],
 )
 def test_edge_type_fixtures(name, counts):
-    assert ab_edge_type_counts(root_system(name)) == counts
+    assert type_counts(enumerate_abelian_ideals(root_system(name))) == counts
 
 
 def test_abelian_poset_edges_match_typed_edges(small_system):
     poset = abelian_poset(small_system)
-    assert len(poset.covers()) == len(ab_typed_edges(small_system))
+    assert len(poset.covers()) == len(typed_edges(enumerate_abelian_ideals(small_system)))
 
 
 def test_commutative_roots_g2():
@@ -164,8 +164,8 @@ def test_generator_type_table_matches_fresh_typing(name):
     # the lattice resumes the parent's peel; each element must be the one a
     # full peel of the ideal builds, inverse included
     rs = root_system(name)
-    table = abelian_generator_types(rs)
     ideals = enumerate_abelian_ideals(rs)
+    table = generator_types(ideals)
     assert set(table) == {ideal.mask for ideal in ideals}
     for ideal, element in lattice_elements(ideals):
         me = minimal_element(ideal)
@@ -187,12 +187,12 @@ def test_generator_type_table_is_per_system():
     assert shared
     assert all(b != c for b, c in shared)
     assert any(minimal_element(b).word != minimal_element(c).word for b, c in shared)
-    assert any(
-        abelian_generator_types(b3)[b.mask] != abelian_generator_types(c3)[c.mask] for b, c in shared
-    )
+    b3_types = generator_types(enumerate_abelian_ideals(b3))
+    c3_types = generator_types(enumerate_abelian_ideals(c3))
+    assert any(b3_types[b.mask] != c3_types[c.mask] for b, c in shared)
     for b, c in shared:
-        assert abelian_generator_types(b3)[b.mask] == generator_edge_types(minimal_element(b))
-        assert abelian_generator_types(c3)[c.mask] == generator_edge_types(minimal_element(c))
+        assert b3_types[b.mask] == generator_edge_types(minimal_element(b))
+        assert c3_types[c.mask] == generator_edge_types(minimal_element(c))
 
 
 def test_abelian_typing_peels_one_row_per_ideal(monkeypatch):
@@ -206,16 +206,16 @@ def test_abelian_typing_peels_one_row_per_ideal(monkeypatch):
 
     monkeypatch.setattr("rootposets.ideals.minimal_element", built.append)
     monkeypatch.setattr("rootposets._kernels.peel", counted)
-    abelian.abelian_generator_types.cache_clear()
+    generator_types.cache_clear()
     abelian.commutative_roots.cache_clear()
     try:
-        ab_typed_edges(rs)
-        ab_edge_type_counts(rs)
+        typed_edges(enumerate_abelian_ideals(rs))
+        type_counts(enumerate_abelian_ideals(rs))
         commutative_roots(rs)
         check_class_independence(rs)
         long_abelian_edge_type_counts(rs)
     finally:
-        abelian.abelian_generator_types.cache_clear()
+        generator_types.cache_clear()
         abelian.commutative_roots.cache_clear()
     # each nonempty Abelian ideal I adds the one row delta - gamma to its
     # parent's inversion set, gamma the generator removed
@@ -228,12 +228,12 @@ def test_covering_suite_builds_no_minimal_element(monkeypatch):
         raise AssertionError(f"the covering suite built the minimal element of {ideal}")
 
     monkeypatch.setattr("rootposets.ideals.minimal_element", refuse)
-    abelian.abelian_generator_types.cache_clear()
+    generator_types.cache_clear()
     abelian.commutative_roots.cache_clear()
     try:
         assert all(r.passed for r in verify.suite_covering(4))
     finally:
-        abelian.abelian_generator_types.cache_clear()
+        generator_types.cache_clear()
         abelian.commutative_roots.cache_clear()
 
 
@@ -282,7 +282,8 @@ def test_suter_tau_shifts_edge_types():
     # tau is an automorphism of the undirected typed Hasse graph, rotating
     # edge types by 2 mod (n+1); it may reverse inclusion along the way
     rs = root_system("A4")
-    typed = {frozenset((e.upper, e.lower)): e.type_index for e in ab_typed_edges(rs)}
+    edges = typed_edges(enumerate_abelian_ideals(rs))
+    typed = {frozenset((e.upper, e.lower)): e.type_index for e in edges}
     for pair, t in typed.items():
         image = frozenset(suter_tau(ideal) for ideal in pair)
         assert typed[image] == (t + 2) % (rs.rank + 1)

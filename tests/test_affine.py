@@ -52,8 +52,10 @@ def test_affine_zero_root_structure():
 
 def test_generator_index_out_of_range():
     rs = root_system("A2")
-    with pytest.raises(RootSystemError):
+    with pytest.raises(RootSystemError, match="index 3 out of range 0..2"):
         AffineWeylElement.simple_reflection(rs, 3)
+    with pytest.raises(RootSystemError, match="index -1 out of range 0..2"):
+        AffineWeylElement.from_word(rs, (0, 1, -1))
 
 
 @pytest.mark.parametrize("name", SYSTEMS)

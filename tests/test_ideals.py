@@ -1,11 +1,9 @@
 import pytest
 
-from rootposets import ideals, verify
+from rootposets import _kernels, ideals, verify
 from rootposets.affine import AffineWeylElement, affine_simple_roots
 from rootposets.ideals import (
     MinimalElement,
-    ad_edge_type_counts,
-    ad_typed_edges,
     alcove_wall_types,
     check_minimal_element,
     descent_types,
@@ -26,6 +24,8 @@ from rootposets.ideals import (
     narayana_polynomial,
     principal_ideal,
     sample_ideals,
+    type_counts,
+    typed_edges,
     z_point,
 )
 from rootposets.rootsystem import RootSystemError, admissible_systems, cartan_inverse, root_system
@@ -101,16 +101,6 @@ def test_full_and_empty_and_principal():
     assert top.roots() == [rs.theta]
     below = principal_ideal(rs, rs.simple_roots[0])
     assert all(rs.root_leq(rs.simple_roots[0], g) for g in below.roots())
-
-
-def test_without_generator():
-    rs = root_system("A2")
-    full = full_ideal(rs)
-    smaller = full.without_generator((1, 0))
-    assert (1, 0) not in smaller
-    assert len(smaller) == 2
-    with pytest.raises(RootSystemError):
-        full.without_generator((1, 1))  # not a generator of the full ideal
 
 
 def test_ideal_powers_of_full_ideal():
@@ -238,6 +228,37 @@ def test_verify_builds_each_minimal_element_once(monkeypatch):
     assert len(built) == 433
 
 
+def test_verify_exhaustive_checks_every_e7_ideal_once(monkeypatch):
+    # `verify --exhaustive` with cheap stand-ins for the build, the check and
+    # the four routes: the E7 line covers all 4160 ideals, none sampled
+    built, checked, sampled = [], [], []
+    original_sample = sample_ideals
+
+    def build(ideal):
+        built.append(ideal)
+        return MinimalElement(ideal, None, ())
+
+    def check(me):
+        checked.append(me.ideal)
+
+    def sample(rs, count):
+        sampled.append(str(rs.id))
+        return original_sample(rs, count)
+
+    monkeypatch.setattr("rootposets.ideals.minimal_element", build)
+    monkeypatch.setattr("rootposets.ideals.check_minimal_element", check)
+    monkeypatch.setattr("rootposets.ideals.sample_ideals", sample)
+    monkeypatch.setattr("rootposets.verify._assert_edge_type_agreement", lambda *args: None)
+    results = verify.suite_ad(7, exhaustive=True)
+    line = "E7: minimal elements of 4160 (all) ideals satisfy all conditions"
+    assert [r.passed for r in results if r.name == line] == [True]
+    assert "E7" not in sampled
+    rs = root_system("E7")
+    e7 = list(enumerate_upper_ideals(rs))
+    assert [ideal for ideal in built if ideal.rs == rs] == e7
+    assert [ideal for ideal in checked if ideal.rs == rs] == e7
+
+
 def test_facet_types_do_not_rerun_the_check(monkeypatch):
     def refuse(me):
         raise AssertionError("facet_types re-ran the check")
@@ -313,9 +334,10 @@ def test_four_type_routes_agree(name):
 
 def test_edge_counts(small_system):
     rs = small_system
-    edges = ad_typed_edges(rs)
+    batch = enumerate_upper_ideals(rs)
+    edges = typed_edges(batch)
     assert len(edges) == expected_edge_count(rs)
-    counts = ad_edge_type_counts(rs)
+    counts = type_counts(batch)
     assert sum(counts) == len(edges)
     for e in edges:
         assert len(e.lower) == len(e.upper) - 1
@@ -341,15 +363,37 @@ def test_lattice_refuses_a_batch_without_a_parent():
     rs = root_system("B3")
     batch = enumerate_upper_ideals(rs)
     with pytest.raises(RootSystemError, match="lacks the parent"):
-        generator_types([full_ideal(rs)])
+        generator_types((full_ideal(rs),))
     with pytest.raises(RootSystemError, match="lacks the parent"):
         generator_types(batch[1:])  # no empty ideal
     assert generator_types(batch[:1]) == {0: {}}
 
 
+def test_each_lattice_is_walked_once(monkeypatch):
+    # the counts and the edges read one cached typing: one peel per nonempty ideal
+    rs = root_system("D4")
+    batch = enumerate_upper_ideals(rs)
+    peeled = []
+    original = _kernels.peel
+
+    def counted(rows, tables, start=None):
+        peeled.append(len(rows))
+        return original(rows, tables, start)
+
+    monkeypatch.setattr("rootposets._kernels.peel", counted)
+    generator_types.cache_clear()
+    try:
+        counts = type_counts(batch)
+        edges = typed_edges(batch)
+    finally:
+        generator_types.cache_clear()
+    assert len(peeled) == len(batch) - 1 == 49
+    assert sum(counts) == len(edges) == expected_edge_count(rs)
+
+
 def test_e7_edge_type_counts():
     # one lattice walk over all 4160 ideals; the edges number (7/2) * 4160
-    counts = ad_edge_type_counts(root_system("E7"))
+    counts = type_counts(enumerate_upper_ideals(root_system("E7")))
     assert counts == [1011, 902, 1729, 2288, 2804, 2368, 1729, 1729]
     assert sum(counts) == 14560 == 7 * 4160 // 2
 
@@ -359,7 +403,7 @@ def test_golden_sl4_statistics():
     ideals = enumerate_upper_ideals(rs)
     assert len(ideals) == 14
     assert expected_edge_count(rs) == 21
-    assert sorted(ad_edge_type_counts(rs)) == [4, 5, 6, 6]
+    assert sorted(type_counts(ideals)) == [4, 5, 6, 6]
     me = minimal_element(full_ideal(rs))
     assert len(me.word) == 10
     assert me.element == AffineWeylElement.from_word(rs, (0, 1, 3, 0, 3, 1, 2, 1, 3, 0))
