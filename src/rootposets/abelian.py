@@ -22,7 +22,8 @@ from .ideals import (
     UpperIdeal,
     _antichain_ideals,
     _bits,
-    _sum_table,
+    _order_masks,
+    _sums_with,
     generator_count_polynomial,
     generator_types,
     ideal_from_mask,
@@ -43,16 +44,6 @@ def _expected_counts() -> dict:
 def _appendix_classes() -> dict:
     with resources.files("rootposets.data").joinpath("commutative_classes.json").open() as fh:
         return json.load(fh)
-
-
-@lru_cache(maxsize=None)
-def _sums_with(rs: RootSystem) -> tuple[int, ...]:
-    """For each positive root index, the indices it sums with to a root."""
-    table = _sum_table(rs)
-    m = len(rs.positive_roots)
-    return tuple(
-        sum(1 << j for j in range(m) if table[i][j] >= 0) for i in range(m)
-    )
 
 
 @lru_cache(maxsize=None)
@@ -155,13 +146,21 @@ def expected_commutative_count(rs: RootSystem) -> int:
     return base + product
 
 
+def _maximal(rs: RootSystem, roots: list[Root]) -> list[Root]:
+    """The maximal elements of a set of positive roots, in index order."""
+    up, _ = _order_masks(rs)
+    index = rs.root_index
+    mask = sum(1 << index[g] for g in roots)
+    return [g for g in roots if up[index[g]] & mask == 1 << index[g]]
+
+
 def noncommutative_maximal(rs: RootSystem) -> Root | None:
     """The unique maximal non-commutative root; None when all roots commute."""
     commutative = {rec.root for rec in commutative_roots(rs)}
     rest = [g for g in rs.positive_roots if g not in commutative]
     if not rest:
         return None
-    maximal = [g for g in rest if not any(g != o and rs.root_leq(g, o) for o in rest)]
+    maximal = _maximal(rs, rest)
     if len(maximal) != 1:
         raise RootSystemError(f"expected a unique maximal non-commutative root, got {maximal}")
     return maximal[0]
@@ -214,9 +213,8 @@ def check_orthogonal_maximal_classes(rs: RootSystem) -> list[Root]:
     """Commutative maximal roots orthogonal to theta have class alpha_0."""
     classes = class_map(rs)
     orth = [g for g in rs.positive_roots if rs.form(g, rs.theta) == 0]
-    maximal = [g for g in orth if not any(g != o and rs.root_leq(g, o) for o in orth)]
     witnesses = []
-    for gamma in maximal:
+    for gamma in _maximal(rs, orth):
         if gamma in classes:
             if classes[gamma] != 0:
                 raise RootSystemError(f"maximal orthogonal root {gamma} has class {classes[gamma]}")

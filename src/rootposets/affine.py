@@ -39,6 +39,7 @@ def is_positive_affine(ar: AffineRoot) -> bool:
     return all(c >= 0 for c in ar.finite) and any(ar.finite)
 
 
+@lru_cache(maxsize=None)
 def affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
     """Index 0 is delta - theta; index i >= 1 is the finite simple alpha_i."""
     out = [AffineRoot(tuple(-c for c in rs.theta), 1)]

@@ -21,11 +21,18 @@ differ only by the walk of z along the reduced word.
 
 To type a whole lattice, `generator_types` builds the elements along its
 covers (`lattice_elements`) instead of one full peel per ideal.  The parent
-of I is I minus its first generator; w_I resumes the peel of the parent's
-element and peels only the rows of I's inversion set that the parent's
-lacks.  A successful peel yields exactly the target inversion set, so the
-element is the one `minimal_element` builds; its word is never formed.
-The Abelian ideals (`abelian`) share the antichain search and the typing.
+P of I is I minus its first generator g; w_I resumes the peel of the
+parent's element and peels only the rows of I's inversion set that the
+parent's lacks, the new masks N_k = I^k minus P^k.  The walk carries the
+powers too: I^k = P^k | (N_(k-1) + P) | (I^(k-1) + g) (`_cover_powers`), so
+no lattice ideal computes its `powers` from scratch.  A successful peel
+yields exactly the target inversion set, so the element is the one
+`minimal_element` builds; its word is never formed.  The Abelian ideals
+(`abelian`) share the antichain search and the typing.
+
+The per-system tables are bit masks over the root indices: the order is
+built along the covers, and the sum table from integer root keys that add
+without carries (`_root_keys`).
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import zip_longest
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -76,7 +82,8 @@ class UpperIdeal:
         return i is not None and self.mask >> i & 1
 
     def is_abelian(self) -> bool:
-        return not _power_mask(self.rs, self.mask, self.mask)
+        sums = _sums_with(self.rs)
+        return not any(sums[j] & self.mask for j in _bits(self.mask))
 
     @cached_property
     def powers(self) -> tuple[int, ...]:
@@ -97,32 +104,55 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 @lru_cache(maxsize=None)
+def _root_keys(rs: RootSystem) -> tuple[tuple[int, ...], dict[int, int], tuple[int, ...]]:
+    """(keys, index of each key, key of each simple root).
+
+    A root c is the integer sum of c_k * B**k with B = 2*max(theta) + 1.
+    No coefficient of a positive root exceeds theta's, so the key of a sum of
+    two positive roots is the sum of their keys: no digit carries.
+    """
+    base = 2 * max(rs.theta) + 1
+    steps = tuple(base**k for k in range(rs.rank))
+    keys = tuple(sum(map(mul, root, steps)) for root in rs.positive_roots)
+    return keys, {key: i for i, key in enumerate(keys)}, steps
+
+
+@lru_cache(maxsize=None)
 def _order_masks(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(up, comp): up[i] = indices above root i; comp[i] = indices comparable to i."""
-    pos = rs.positive_roots
-    m = len(pos)
+    """(up, comp): up[i] = indices above root i; comp[i] = indices comparable to i.
+
+    beta is covered by exactly the roots beta + alpha_k, and every root above
+    beta is reached along covers, so `up` is one pass from the highest root
+    down and the roots below one pass up (the roots are sorted by height).
+    """
+    keys, index, steps = _root_keys(rs)
+    m = len(keys)
+    covers = [[index[c] for s in steps if (c := key + s) in index] for key in keys]
     up = [0] * m
+    for i in reversed(range(m)):
+        mask = 1 << i
+        for j in covers[i]:
+            mask |= up[j]
+        up[i] = mask
+    down = [1 << i for i in range(m)]
     for i in range(m):
-        for j in range(m):
-            if rs.root_leq(pos[i], pos[j]):
-                up[i] |= 1 << j
-    comp = list(up)
-    for i in range(m):
-        for j in _bits(up[i]):
-            comp[j] |= 1 << i
-    return tuple(up), tuple(comp)
+        for j in covers[i]:
+            down[j] |= down[i]
+    return tuple(up), tuple(u | d for u, d in zip(up, down))
 
 
 @lru_cache(maxsize=None)
 def _sum_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """sum_table[i][j] = index of pos[i]+pos[j] among positive roots, or -1."""
-    pos = rs.positive_roots
-    idx = rs.root_index
-    table = []
-    for a in pos:
-        row = [idx.get(tuple(x + y for x, y in zip(a, b)), -1) for b in pos]
-        table.append(tuple(row))
-    return tuple(table)
+    keys, index, _ = _root_keys(rs)
+    get = index.get
+    return tuple(tuple([get(a + b, -1) for b in keys]) for a in keys)
+
+
+@lru_cache(maxsize=None)
+def _sums_with(rs: RootSystem) -> tuple[int, ...]:
+    """For each positive root index, the mask of the indices it sums with to a root."""
+    return tuple(sum(1 << j for j, k in enumerate(row) if k >= 0) for row in _sum_table(rs))
 
 
 def _power_mask(rs: RootSystem, mask_a: int, mask_b: int) -> int:
@@ -187,9 +217,11 @@ def _antichain_ideals(
 
     def descend(start: int, gens: tuple[int, ...], mask: int, blocked: int) -> None:
         out.append(UpperIdeal(rs, mask, tuple(sorted(pos[g] for g in gens))))
-        for i in range(start, m):
-            if blocked >> i & 1:
-                continue
+        free = ~blocked & ((1 << m) - (1 << start))
+        while free:
+            low = free & -free
+            free ^= low
+            i = low.bit_length() - 1
             new_mask = mask | up[i]
             if admit is None or admit(mask, new_mask):
                 descend(i + 1, gens + (i,), new_mask, blocked | comp[i])
@@ -247,19 +279,19 @@ class MinimalElement(NamedTuple):
 
 
 def target_inversion_rows(
-    ideal: UpperIdeal, parent: UpperIdeal | None = None
+    ideal: UpperIdeal, powers: Sequence[int] | None = None
 ) -> list[tuple[int, ...]]:
     """Rows (-gamma, k) for gamma in I^k: the inversion set of w.
 
-    With a `parent` P contained in I, only the rows for gamma in I^k but not
-    in P^k: the inversion set of w_I less that of w_P.
+    With `powers`, the rows (-gamma, k) for gamma in powers[k - 1] instead:
+    the lattice walk passes the masks I^k minus P^k of a parent P, whose rows
+    are the inversion set of w_I less that of w_P.
     """
     pos = ideal.rs.positive_roots
-    below = parent.powers if parent is not None else ()
     return [
         (*(-c for c in pos[i]), k)
-        for k, (mask, lower) in enumerate(zip_longest(ideal.powers, below, fillvalue=0), start=1)
-        for i in _bits(mask & ~lower)
+        for k, mask in enumerate(ideal.powers if powers is None else powers, start=1)
+        for i in _bits(mask)
     ]
 
 
@@ -344,14 +376,46 @@ def generator_edge_types(me: MinimalElement) -> dict[Root, int]:
     return out
 
 
+def _cover_powers(
+    rs: RootSystem, parent_mask: int, parent_powers: Sequence[int], g: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Powers of I = P + {root g} and the new masks I^k minus P^k, from P's powers.
+
+    I^k = (I^(k-1) + P) | (I^(k-1) + g), and with N_k = I^k minus P^k,
+    I^(k-1) + P = P^k | (N_(k-1) + P).  So only the few new roots and g are
+    looked up in the sum table, not every root of I^(k-1).
+    """
+    table = _sum_table(rs)
+    sums = _sums_with(rs)
+    g_row, g_sums = table[g], sums[g]
+    powers, news = [], []
+    new = 1 << g
+    cur = parent_mask | new
+    while cur:
+        powers.append(cur)
+        news.append(new)
+        below = parent_powers[len(powers)] if len(powers) < len(parent_powers) else 0
+        nxt = below
+        for i in _bits(new):
+            row = table[i]
+            for j in _bits(sums[i] & parent_mask):
+                nxt |= 1 << row[j]
+        for j in _bits(cur & g_sums):
+            nxt |= 1 << g_row[j]
+        new = nxt & ~below
+        cur = nxt
+    return tuple(powers), tuple(news)
+
+
 def lattice_elements(
     batch: Iterable[UpperIdeal],
 ) -> Iterator[tuple[UpperIdeal, AffineWeylElement]]:
     """(I, w_I) for each ideal of a batch of one system, smallest first.
 
     w_I resumes the peel of w_P, P = I minus its first generator, with the
-    rows of I that P lacks: one row when I is Abelian.  Raises if a parent is
-    missing from the batch.
+    rows of I that P lacks: one row when I is Abelian.  The powers of I come
+    from P's along the cover (`_cover_powers`), so the walk reads no
+    `UpperIdeal.powers`.  Raises if a parent is missing from the batch.
     """
     ordered = sorted(batch, key=len)
     parent_masks = {
@@ -362,16 +426,17 @@ def lattice_elements(
     # a state is dropped after its last child is built: a walk over the
     # 25 080 E8 ideals then holds at most 403 states at once
     children = Counter(parent_masks.values())
-    states: dict[int, tuple[UpperIdeal, _kernels.Peeled | None]] = {}
+    states: dict[int, tuple[tuple[int, ...], _kernels.Peeled | None]] = {}
     for ideal in ordered:
         rs = ideal.rs
         parent_mask = parent_masks.get(ideal.mask)
         if parent_mask is None:
+            powers: tuple[int, ...] = ()
             peeled = None
             element = AffineWeylElement.identity(rs)
         else:
             try:
-                parent, start = states[parent_mask]
+                parent_powers, start = states[parent_mask]
             except KeyError:
                 raise RootSystemError(
                     f"the batch lacks the parent of the ideal generated by {ideal.generators}"
@@ -379,14 +444,16 @@ def lattice_elements(
             children[parent_mask] -= 1
             if not children[parent_mask]:
                 del states[parent_mask]
-            rows = target_inversion_rows(ideal, parent)
+            g = rs.root_index[ideal.generators[0]]
+            powers, new = _cover_powers(rs, parent_mask, parent_powers, g)
+            rows = target_inversion_rows(ideal, new)
             try:
                 peeled = _kernels.peel(rows, _kernels.peel_tables(rs), start)
             except _kernels.PeelError as exc:  # should be impossible for an upper ideal
                 raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
             element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
         if children[ideal.mask]:
-            states[ideal.mask] = (ideal, peeled)
+            states[ideal.mask] = (powers, peeled)
         yield ideal, element
 
 

@@ -134,6 +134,18 @@ def test_noncommutative_maximal_is_half_theta(small_system):
         assert gamma == rs.half_floor(rs.theta)
 
 
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_maximal_roots_match_root_leq(name):
+    # the maximal roots are read off the up masks; the reference compares
+    # every pair with root_leq
+    rs = root_system(name)
+    noncommutative = [g for g in rs.positive_roots if not principal_ideal(rs, g).is_abelian()]
+    orthogonal = [g for g in rs.positive_roots if rs.form(g, rs.theta) == 0]
+    for roots in (noncommutative, orthogonal, list(rs.positive_roots), rs.positive_roots[::3]):
+        reference = [g for g in roots if not any(g != o and rs.root_leq(g, o) for o in roots)]
+        assert abelian._maximal(rs, list(roots)) == reference
+
+
 def test_noncommutative_maximal_fixtures():
     assert noncommutative_maximal(root_system("B3")) == (0, 1, 1)
     assert noncommutative_maximal(root_system("A3")) is None

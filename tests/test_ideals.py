@@ -1,3 +1,5 @@
+from itertools import zip_longest
+
 import pytest
 
 from rootposets import _kernels, ideals, verify
@@ -29,6 +31,9 @@ from rootposets.ideals import (
     z_point,
 )
 from rootposets.rootsystem import RootSystemError, admissible_systems, cartan_inverse, root_system
+
+ALL_IDS = [str(sid) for sid in admissible_systems(8)]
+RANK_6_IDS = [str(sid) for sid in admissible_systems(6)]
 
 IDEAL_COUNTS = {"A2": 5, "A3": 14, "B2": 6, "B3": 20, "C3": 20, "D4": 50, "F4": 105, "G2": 8}
 
@@ -151,6 +156,73 @@ def test_is_abelian():
     by_height = sorted(rs.positive_roots, key=rs.height, reverse=True)
     assert ideal_from_roots(rs, by_height[:3]).is_abelian()
     assert not ideal_from_roots(rs, by_height[:4]).is_abelian()
+
+
+def test_is_abelian_matches_the_square(small_system):
+    # Abelian iff I + I meets no root: the sum table's square of the mask
+    rs = small_system
+    for ideal in enumerate_upper_ideals(rs):
+        assert ideal.is_abelian() == (not ideals._power_mask(rs, ideal.mask, ideal.mask))
+
+
+def reference_order_masks(rs):
+    """The definition: up[i] holds j with pos[i] <= pos[j], comp[i] every j comparable."""
+    pos = rs.positive_roots
+    up = [sum(1 << j for j, b in enumerate(pos) if rs.root_leq(a, b)) for a in pos]
+    comp = [
+        sum(1 << j for j, b in enumerate(pos) if rs.root_leq(a, b) or rs.root_leq(b, a))
+        for a in pos
+    ]
+    return tuple(up), tuple(comp)
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_order_masks_match_root_leq(name):
+    # built along the covers beta < beta + alpha_k, not by N^2 comparisons
+    rs = root_system(name)
+    assert ideals._order_masks(rs) == reference_order_masks(rs)
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_sum_table_matches_tuple_addition(name):
+    # built from integer keys that add without carries
+    rs = root_system(name)
+    pos, index = rs.positive_roots, rs.root_index
+    table, sums = ideals._sum_table(rs), ideals._sums_with(rs)
+    assert len(table) == len(sums) == len(pos)
+    for i, a in enumerate(pos):
+        row = tuple(index.get(tuple(x + y for x, y in zip(a, b)), -1) for b in pos)
+        assert table[i] == row
+        assert sums[i] == sum(1 << j for j, k in enumerate(row) if k >= 0)
+
+
+@pytest.mark.parametrize("name", RANK_6_IDS)
+def test_walk_powers_match_the_ideal_powers(name, monkeypatch):
+    # the walk builds each ideal's powers from its parent's along the cover
+    # and peels the new masks I^k minus P^k; UpperIdeal.powers recomputes
+    # every power from scratch
+    rs = root_system(name)
+    # fresh ideals, so that no power is cached before the walk
+    batch = tuple(ideal_from_mask(rs, ideal.mask) for ideal in enumerate_upper_ideals(rs))
+    passed = {}
+    original = ideals.target_inversion_rows
+
+    def recording(ideal, powers=None):
+        passed[ideal.mask] = tuple(powers)
+        return original(ideal, powers)
+
+    monkeypatch.setattr(ideals, "target_inversion_rows", recording)
+    assert len(list(lattice_elements(batch))) == len(batch)
+    assert not any("powers" in vars(ideal) for ideal in batch)
+    assert len(passed) == len(batch) - 1
+    by_mask = {ideal.mask: ideal for ideal in batch}
+    for ideal in batch[1:]:
+        g = rs.root_index[ideal.generators[0]]
+        parent = by_mask[ideal.mask & ~(1 << g)]
+        powers, new = ideals._cover_powers(rs, parent.mask, parent.powers, g)
+        assert powers == ideal.powers
+        want = tuple(a & ~b for a, b in zip_longest(ideal.powers, parent.powers, fillvalue=0))
+        assert new == passed[ideal.mask] == want
 
 
 def test_minimal_element_checks_pass(small_system):

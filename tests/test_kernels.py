@@ -8,6 +8,7 @@ from rootposets.affine import (
     word_from_inversion_set,
 )
 from rootposets.ideals import (
+    _cover_powers,
     enumerate_upper_ideals,
     ideal_from_mask,
     sample_ideals,
@@ -116,9 +117,12 @@ def test_resumed_peel_extends_the_parent_element():
     rs = root_system("C3")
     tables = _kernels.peel_tables(rs)
     for ideal in enumerate_upper_ideals(rs)[1:]:
-        parent = ideal_from_mask(rs, ideal.mask & ~(1 << rs.root_index[ideal.generators[0]]))
+        g = rs.root_index[ideal.generators[0]]
+        parent = ideal_from_mask(rs, ideal.mask & ~(1 << g))
         start = _kernels.peel(target_inversion_rows(parent), tables) if len(parent) else None
-        rows = target_inversion_rows(ideal, parent)
+        # the walk's new masks I^k minus P^k, from the parent's powers
+        _, new = _cover_powers(rs, parent.mask, parent.powers, g)
+        rows = target_inversion_rows(ideal, new)
         assert set(rows) == set(target_inversion_rows(ideal)) - set(target_inversion_rows(parent))
         resumed = _kernels.peel(rows, tables, start)
         full = _kernels.peel(target_inversion_rows(ideal), tables)
