@@ -10,7 +10,6 @@ class tables and covering polynomials that govern those diagrams.
 from .abelian import (
     CommutativeRoot,
     ab_covering_polynomial,
-    abelian_poset,
     class_map,
     commutative_roots,
     enumerate_abelian_ideals,
@@ -23,7 +22,6 @@ from .ideals import (
     MinimalElement,
     UpperIdeal,
     check_minimal_element,
-    empty_ideal,
     enumerate_upper_ideals,
     full_ideal,
     ideal_from_roots,
@@ -37,7 +35,6 @@ from .posets import FinitePoset, IntPolynomial, export_dot
 from .rootposet import (
     TypedEdge,
     edge_type_counts,
-    root_poset,
     short_root_subdiagram,
     typed_hasse_edges,
 )
@@ -72,13 +69,11 @@ __all__ = [
     "Wall",
     "WeightSystem",
     "ab_covering_polynomial",
-    "abelian_poset",
     "admissible_systems",
     "check_minimal_element",
     "class_map",
     "commutative_roots",
     "edge_type_counts",
-    "empty_ideal",
     "enumerate_abelian_ideals",
     "enumerate_upper_ideals",
     "export_dot",
@@ -90,7 +85,6 @@ __all__ = [
     "minimal_element",
     "narayana_polynomial",
     "principal_ideal",
-    "root_poset",
     "root_system",
     "run_suite",
     "short_root_subdiagram",

@@ -27,7 +27,6 @@ from .ideals import (
     generator_count_polynomial,
     generator_types,
     ideal_from_mask,
-    inclusion_poset,
     principal_ideal,
 )
 from .posets import FinitePoset, IntPolynomial
@@ -58,10 +57,6 @@ def enumerate_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
     if len(out) != 2**rs.rank:
         raise RootSystemError(f"found {len(out)} Abelian ideals, expected 2^rank")
     return out
-
-
-def abelian_poset(rs: RootSystem) -> FinitePoset:
-    return inclusion_poset(enumerate_abelian_ideals(rs))
 
 
 def expected_ab_edge_count(rs: RootSystem) -> int:

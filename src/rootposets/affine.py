@@ -6,7 +6,9 @@ on these integer coordinates, so an element is one integer (n+1)x(n+1)
 matrix, stored with its inverse; products, inverses and the images of the
 affine simple roots and of the alcove walls (`simple_images`) are integer
 computations.  Only points of the ambient space (`act_point`, alcove
-vertices) have rational coordinates.
+vertices), the Cartan inverse and the coweights they are built from have
+rational coordinates; this is the one module of the package that uses
+`Fraction`.
 
 The fundamental alcove is the open simplex cut out by (x, alpha_i) > 0 and
 (x, theta) < 1; its vertices are 0 and the fundamental coweights divided by
@@ -49,8 +51,36 @@ def affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
 
 
 @lru_cache(maxsize=None)
-def _coweights(rs: RootSystem) -> tuple[Vector, ...]:
-    return rs.fundamental_coweights()
+def cartan_inverse(rs: RootSystem) -> tuple[tuple[Q, ...], ...]:
+    """inv(A) for the Cartan matrix A of rs, exact and cached; inv(Aᵀ) = inv(A)ᵀ.
+
+    Fraction-exact Gauss-Jordan elimination on [A | 1].
+    """
+    n = rs.rank
+    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(rs.cartan)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+@lru_cache(maxsize=None)
+def fundamental_coweights(rs: RootSystem) -> tuple[Vector, ...]:
+    """Root coordinates of the fundamental coweights; (pi_i^vee, alpha_j) = delta_ij.
+
+    The Gram matrix is diag(e)*A/D, so its inverse is inv(A)*diag(D/e).
+    """
+    inv = cartan_inverse(rs)
+    return tuple(
+        tuple(inv[j][i] * rs.form_denominator / rs.form_weights[i] for j in range(rs.rank))
+        for i in range(rs.rank)
+    )
 
 
 def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -130,7 +160,7 @@ class AffineWeylElement:
     def translation_root_coords(self) -> Vector:
         """t with w = L o t_t: (t, alpha_c) is minus entry c of the level row."""
         n = self.rs.rank
-        coweights = _coweights(self.rs)
+        coweights = fundamental_coweights(self.rs)
         level_row = self.matrix[-1]
         return tuple(
             -sum((level_row[c] * coweights[c][r] for c in range(n) if level_row[c]), Q(0))
@@ -216,7 +246,7 @@ class Wall(NamedTuple):
         return self
 
     def evaluate(self, rs: RootSystem, x: Sequence[Q]) -> Q:
-        return rs.form(x, self.normal) - self.offset
+        return Q(rs.form(x, self.normal), rs.form_denominator) - self.offset
 
 
 def fundamental_alcove_walls(rs: RootSystem) -> tuple[Wall, ...]:
@@ -231,7 +261,7 @@ def fundamental_alcove_walls(rs: RootSystem) -> tuple[Wall, ...]:
 def fundamental_alcove_vertices(rs: RootSystem) -> tuple[Vector, ...]:
     """0 together with the fundamental coweights scaled by 1/mark."""
     verts = [tuple(Q(0) for _ in range(rs.rank))]
-    coweights = _coweights(rs)
+    coweights = fundamental_coweights(rs)
     for i in range(rs.rank):
         verts.append(tuple(c / rs.theta[i] for c in coweights[i]))
     return tuple(verts)

@@ -54,7 +54,7 @@ from .affine import (
     fundamental_alcove_vertices,
     is_positive_affine,
 )
-from .posets import FinitePoset, IntPolynomial
+from .posets import IntPolynomial
 from .rootsystem import Root, RootSystem, RootSystemError
 
 
@@ -196,10 +196,6 @@ def principal_ideal(rs: RootSystem, gamma: Root) -> UpperIdeal:
 
 def full_ideal(rs: RootSystem) -> UpperIdeal:
     return ideal_from_mask(rs, (1 << len(rs.positive_roots)) - 1)
-
-
-def empty_ideal(rs: RootSystem) -> UpperIdeal:
-    return UpperIdeal(rs, 0, ())
 
 
 def _antichain_ideals(
@@ -567,11 +563,6 @@ def generator_count_polynomial(batch: Iterable[UpperIdeal]) -> IntPolynomial:
 def narayana_polynomial(rs: RootSystem) -> IntPolynomial:
     """Generator-count generating function of the ideal poset."""
     return generator_count_polynomial(enumerate_upper_ideals(rs))
-
-
-def inclusion_poset(batch: Sequence[UpperIdeal]) -> FinitePoset:
-    """The ideals of a batch ordered by inclusion."""
-    return FinitePoset(batch, lambda a, b: a.mask & ~b.mask == 0)
 
 
 # fixed so that `verify` reports are byte-identical from run to run

@@ -48,17 +48,14 @@ def edge_type_counts(rs: RootSystem) -> list[int]:
 def expected_edge_type_counts(rs: RootSystem) -> list[int]:
     """Closed forms: h-2 per type when simply laced; otherwise h*-2 for long
     types and h-2 (h-3 for G2) for short types."""
-    if not rs.short_simple_indices:
+    short = rs.short_simple_indices
+    if not short:
         return [rs.h - 2] * rs.rank
     short_count = rs.h - 3 if rs.family == "G" else rs.h - 2
     return [
-        short_count if rs.d[i] != 1 else rs.dual_h - 2
+        short_count if i in short else rs.dual_h - 2
         for i in range(rs.rank)
     ]
-
-
-def root_poset(rs: RootSystem) -> FinitePoset:
-    return FinitePoset(rs.positive_roots, rs.root_leq)
 
 
 def delta_covering_polynomial(rs: RootSystem) -> IntPolynomial:
@@ -119,7 +116,8 @@ def short_subdiagram_type_counts(rs: RootSystem) -> list[int]:
 
 def expected_short_subdiagram_counts(rs: RootSystem) -> list[int]:
     """Short types get h(Δ_s) - 2 edges; long types get h*(Δ) - h(Δ_l)."""
-    if not rs.short_simple_indices:
+    short = rs.short_simple_indices
+    if not short:
         raise RootSystemError(f"{rs.id} is simply laced: no short-root subdiagram")
     shorts = [r for r in rs.positive_roots if not rs.is_long(r)]
     longs = [r for r in rs.positive_roots if rs.is_long(r)]
@@ -129,7 +127,7 @@ def expected_short_subdiagram_counts(rs: RootSystem) -> list[int]:
         raise RootSystemError("components of equal length classes must share h")
     h_short, h_long = hs.pop(), hl.pop()
     return [
-        h_short - 2 if rs.d[i] != 1 else rs.dual_h - h_long
+        h_short - 2 if i in short else rs.dual_h - h_long
         for i in range(rs.rank)
     ]
 

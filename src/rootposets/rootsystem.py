@@ -1,18 +1,17 @@
 """Finite irreducible root systems in the simple-root basis.
 
 Everything is exact: roots are integer coordinate tuples with respect to the
-simple roots, the invariant bilinear form is rational and normalized so that
-long roots have squared length 2.  The simple-root numbering follows the
-convention where the E-series is a chain 1..(rank-1) with the last node
+simple roots, and the invariant bilinear form, normalized so that long roots
+have squared length 2, is kept as the integer D*(x, y), where D is the
+long-root value of the integer lengths e_i = D*(alpha_i, alpha_i)/2.  The
+simple-root numbering follows the convention where the E-series is a chain 1..(rank-1) with the last node
 attached to the chain (E6 at node 3, E7 at node 4, E8 at node 5) and F4 is
 1-2<=3-4 with alpha_1, alpha_2 short.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Sequence
 
@@ -80,56 +79,37 @@ def _dynkin_edges(family: str, n: int) -> list[tuple[int, int]]:
     return _chain_edges(n - 1) + [(branch, n - 1)]
 
 
-def _length_numbers(family: str, n: int) -> tuple[Q, ...]:
-    """d_i = (alpha_i, alpha_i)/2 with long roots normalized to length^2 = 2."""
+def _length_numbers(family: str, n: int) -> tuple[int, ...]:
+    """e_i = D*(alpha_i, alpha_i)/2 with long roots normalized to length^2 = 2.
+
+    D = max(e) is the long-root value: 1 for A/D/E, 2 for B/C/F, 3 for G.
+    """
     if family in "ADE":
-        return (Q(1),) * n
+        return (1,) * n
     if family == "B":
-        return (Q(1),) * (n - 1) + (Q(1, 2),)
+        return (2,) * (n - 1) + (1,)
     if family == "C":
-        return (Q(1, 2),) * (n - 1) + (Q(1),)
+        return (1,) * (n - 1) + (2,)
     if family == "F":
-        return (Q(1, 2), Q(1, 2), Q(1), Q(1))
-    return (Q(1), Q(1, 3))  # G2: alpha_1 long, alpha_2 short
+        return (1, 1, 2, 2)
+    return (3, 1)  # G2: alpha_1 long, alpha_2 short
 
 
 def cartan_matrix(family: str, n: int) -> tuple[tuple[int, ...], ...]:
     """Cartan matrix with entry [i][j] = <alpha_j, alpha_i^vee>."""
-    d = _length_numbers(family, n)
+    e = _length_numbers(family, n)
     a = [[0] * n for _ in range(n)]
     for i in range(n):
         a[i][i] = 2
     for i, j in _dynkin_edges(family, n):
-        # Adjacent simple roots always satisfy (alpha_i, alpha_j) = -max(d_i, d_j):
-        # -1 across a long end of a multiple bond, -d for an equal-length bond.
-        form = -max(d[i], d[j])
-        aij = form / d[i]  # <alpha_j, alpha_i^vee> = 2(alpha_i,alpha_j)/(alpha_i,alpha_i)
-        aji = form / d[j]
-        if aij.denominator != 1 or aji.denominator != 1:
+        # Adjacent simple roots always satisfy D*(alpha_i, alpha_j) = -max(e_i, e_j),
+        # so <alpha_j, alpha_i^vee> = 2(alpha_i,alpha_j)/(alpha_i,alpha_i) = -max(e_i, e_j)/e_i.
+        bond = max(e[i], e[j])
+        if bond % e[i] or bond % e[j]:
             raise RootSystemError(f"non-integral Cartan entry on the bond {i}-{j}")
-        a[i][j] = int(aij)
-        a[j][i] = int(aji)
+        a[i][j] = -(bond // e[i])
+        a[j][i] = -(bond // e[j])
     return tuple(tuple(row) for row in a)
-
-
-@lru_cache(maxsize=None)
-def cartan_inverse(rs: RootSystem) -> tuple[tuple[Q, ...], ...]:
-    """inv(A) for the Cartan matrix A of rs, exact and cached; inv(Aᵀ) = inv(A)ᵀ.
-
-    Fraction-exact Gauss-Jordan elimination on [A | 1].
-    """
-    n = rs.rank
-    aug = [[Q(x) for x in row] + [Q(int(i == j)) for j in range(n)] for i, row in enumerate(rs.cartan)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 class RootSystem:
@@ -141,21 +121,18 @@ class RootSystem:
         self.rank = system_id.rank
         n = self.rank
         self.cartan = cartan_matrix(self.family, n)
-        self.d = _length_numbers(self.family, n)
         self._is_long: dict[Root, bool] = {}
-        # For `form`: D = lcm of the denominators of the d_i (1, 2 or 3),
-        # e_i = D*d_i, and the nonzero (j, cartan[i][j]) of each Cartan row.
+        # For `form`: e_i = D*(alpha_i, alpha_i)/2, D = max(e), and the nonzero
+        # (j, cartan[i][j]) of each Cartan row.
         # D*(x, y) = sum_i x_i*e_i*y_i for x in weight, y in root coordinates.
-        self._form_denominator = math.lcm(*(di.denominator for di in self.d))
-        self.form_weights = tuple(int(self._form_denominator * di) for di in self.d)
+        self.form_weights = _length_numbers(self.family, n)
+        self.form_denominator = max(self.form_weights)
         self._cartan_support = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in self.cartan
         )
-        # Gram matrix (alpha_i, alpha_j) = d_i * cartan[i][j]; must be symmetric.
-        self.gram = tuple(
-            tuple(self.d[i] * self.cartan[i][j] for j in range(n)) for i in range(n)
-        )
-        if any(self.gram[i][j] != self.gram[j][i] for i in range(n) for j in range(n)):
+        # D*(alpha_i, alpha_j) = e_i * cartan[i][j] must be symmetric.
+        e = self.form_weights
+        if any(e[i] * self.cartan[i][j] != e[j] * self.cartan[j][i] for i in range(n) for j in range(n)):
             raise RootSystemError("inconsistent Cartan data")
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
@@ -171,7 +148,7 @@ class RootSystem:
             raise RootSystemError("the highest root is not unique")
         if not self.is_dominant(self.theta):
             raise RootSystemError("the highest root is not dominant")
-        if self.norm2(self.theta) != 2:
+        if self.form(self.theta, self.theta) != 2 * self.form_denominator:
             raise RootSystemError("the highest root is not long")
 
         self.h = top_height + 1
@@ -179,11 +156,11 @@ class RootSystem:
             raise RootSystemError("2|Δ⁺| differs from rank times the Coxeter number")
 
         self.exponents = self._exponents()
-        # theta^vee = theta in coroot coordinates: coefficients c_i^vee = d_i c_i.
-        marks = [self.d[i] * self.theta[i] for i in range(n)]
-        if any(m.denominator != 1 for m in marks):
+        # theta^vee = theta in coroot coordinates: coefficients c_i^vee = e_i c_i / D.
+        marks = [e[i] * self.theta[i] for i in range(n)]
+        if any(m % self.form_denominator for m in marks):
             raise RootSystemError("non-integral coroot marks of theta")
-        self.coroot_marks = tuple(int(m) for m in marks)
+        self.coroot_marks = tuple(m // self.form_denominator for m in marks)
         self.dual_h = 1 + sum(self.coroot_marks)
 
         self.theta_short = self._dominant_short_root()
@@ -243,28 +220,24 @@ class RootSystem:
         """<x, alpha_i^vee> for x in simple-root coordinates."""
         return sum(self.cartan[i][j] * x[j] for j in range(self.rank))
 
-    def form(self, x: Sequence, y: Sequence) -> Q:
-        """Invariant bilinear form (x, y) = sum_i x_i*d_i*<y, alpha_i^vee>, exact.
+    def form(self, x: Sequence, y: Sequence):
+        """D*(x, y) = sum_i x_i*e_i*<y, alpha_i^vee>: an int for integer arguments.
 
-        Equal to sum_ij x_i*gram[i][j]*y_j, since gram[i][j] = d_i*cartan[i][j],
-        but scaled by D so that integer arguments cost O(n) integer products and
-        one Fraction; rational arguments (coweights) give the same exact value.
+        D = `form_denominator`, so long roots give 2D; the exact (x, y) is this
+        value divided by D, for rational arguments (coweights) too.
         """
         total = 0
         for xi, ei, support in zip(x, self.form_weights, self._cartan_support):
             if xi:
                 total += xi * ei * sum(a * y[j] for j, a in support)
-        return Q(total, self._form_denominator)
-
-    def norm2(self, x: Sequence) -> Q:
-        return self.form(x, x)
+        return total
 
     def is_long(self, root: Root) -> bool:
         """Cached per distinct input."""
         key = tuple(root)
         long = self._is_long.get(key)
         if long is None:
-            long = self._is_long[key] = self.norm2(key) == 2
+            long = self._is_long[key] = self.form(key, key) == 2 * self.form_denominator
         return long
 
     def height(self, root: Root) -> int:
@@ -307,23 +280,15 @@ class RootSystem:
                 edges.append((0, j + 1))
         return sorted(tuple(sorted(e)) for e in edges)
 
-    def extended_form(self, i: int, j: int) -> Q:
-        """(alpha_i, alpha_j) on extended indices 0..n (level parts drop out)."""
+    def extended_form(self, i: int, j: int) -> int:
+        """D*(alpha_i, alpha_j) on extended indices 0..n (level parts drop out)."""
         vi = tuple(-c for c in self.theta) if i == 0 else self.simple_roots[i - 1]
         vj = tuple(-c for c in self.theta) if j == 0 else self.simple_roots[j - 1]
         return self.form(vi, vj)
 
     @property
     def short_simple_indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.rank) if self.d[i] != 1)
-
-    def fundamental_coweights(self) -> tuple[tuple[Q, ...], ...]:
-        """Root coordinates of the fundamental coweights; (pi_i^vee, alpha_j) = delta_ij.
-
-        The Gram matrix is diag(d)*A, so its inverse is inv(A)*diag(d)^-1.
-        """
-        inv = cartan_inverse(self)
-        return tuple(tuple(inv[j][i] / self.d[i] for j in range(self.rank)) for i in range(self.rank))
+        return tuple(i for i in range(self.rank) if self.form_weights[i] != self.form_denominator)
 
     def __repr__(self) -> str:
         return f"RootSystem({self.id})"

@@ -501,15 +501,19 @@ _SUITE_FUNCTIONS: dict[str, Callable[[int, bool], list[CheckResult]]] = {
 }
 
 
+def _guarded(suite: str, max_rank: int, exhaustive: bool) -> list[CheckResult]:
+    """The suite's lines, or one FAIL line naming the error that aborted it."""
+    try:
+        return _SUITE_FUNCTIONS[suite](max_rank, exhaustive)
+    except Exception as exc:  # noqa: BLE001 - one aborted suite must not hide the others
+        return [CheckResult(suite, f"suite aborted by {type(exc).__name__}", False, str(exc))]
+
+
 def run_suite(name: str, max_rank: int = 8, exhaustive: bool = False) -> list[CheckResult]:
-    if name == "all":
-        results: list[CheckResult] = []
-        for suite in SUITES:
-            results.extend(_SUITE_FUNCTIONS[suite](max_rank, exhaustive))
-        return results
-    if name not in _SUITE_FUNCTIONS:
+    if name != "all" and name not in _SUITE_FUNCTIONS:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITES + ('all',)}")
-    return _SUITE_FUNCTIONS[name](max_rank, exhaustive)
+    names = SUITES if name == "all" else (name,)
+    return [result for suite in names for result in _guarded(suite, max_rank, exhaustive)]
 
 
 def format_report(results: list[CheckResult]) -> str:

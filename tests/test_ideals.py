@@ -3,13 +3,12 @@ from itertools import zip_longest
 import pytest
 
 from rootposets import _kernels, ideals, verify
-from rootposets.affine import AffineWeylElement, affine_simple_roots
+from rootposets.affine import AffineWeylElement, affine_simple_roots, cartan_inverse
 from rootposets.ideals import (
     MinimalElement,
     alcove_wall_types,
     check_minimal_element,
     descent_types,
-    empty_ideal,
     enumerate_upper_ideals,
     expected_edge_count,
     expected_ideal_count,
@@ -20,7 +19,6 @@ from rootposets.ideals import (
     ideal_count_closed_form,
     ideal_from_mask,
     ideal_from_roots,
-    inclusion_poset,
     lattice_elements,
     minimal_element,
     narayana_polynomial,
@@ -30,7 +28,8 @@ from rootposets.ideals import (
     typed_edges,
     z_point,
 )
-from rootposets.rootsystem import RootSystemError, admissible_systems, cartan_inverse, root_system
+from rootposets.posets import FinitePoset
+from rootposets.rootsystem import RootSystemError, admissible_systems, root_system
 
 ALL_IDS = [str(sid) for sid in admissible_systems(8)]
 RANK_6_IDS = [str(sid) for sid in admissible_systems(6)]
@@ -101,7 +100,7 @@ def test_full_and_empty_and_principal():
     full = full_ideal(rs)
     assert len(full) == len(rs.positive_roots)
     assert set(full.generators) == set(rs.simple_roots)
-    assert len(empty_ideal(rs)) == 0
+    assert len(ideal_from_mask(rs, 0)) == 0
     top = principal_ideal(rs, rs.theta)
     assert top.roots() == [rs.theta]
     below = principal_ideal(rs, rs.simple_roots[0])
@@ -149,7 +148,7 @@ def test_building_and_checking_reads_the_powers_once(monkeypatch):
 
 def test_is_abelian():
     rs = root_system("G2")
-    assert empty_ideal(rs).is_abelian()
+    assert ideal_from_mask(rs, 0).is_abelian()
     assert principal_ideal(rs, rs.theta).is_abelian()
     assert not full_ideal(rs).is_abelian()
     # the three highest roots commute in G2; adding the next one does not
@@ -239,7 +238,7 @@ def test_minimal_element_checks_pass(small_system):
 
 def test_minimal_element_levels_of_extremes():
     rs = root_system("B3")
-    assert check_minimal_element(minimal_element(empty_ideal(rs))) == (1, 0, 0, 0)
+    assert check_minimal_element(minimal_element(ideal_from_mask(rs, 0))) == (1, 0, 0, 0)
     top_levels = check_minimal_element(minimal_element(full_ideal(rs)))
     assert top_levels[1:] == (-1,) * rs.rank
 
@@ -255,7 +254,7 @@ def test_minimal_element_levels_of_extremes():
 )
 def test_check_catches_each_broken_condition(word, generator, message):
     rs = root_system("A2")
-    ideal = empty_ideal(rs) if generator is None else principal_ideal(rs, generator)
+    ideal = ideal_from_mask(rs, 0) if generator is None else principal_ideal(rs, generator)
     me = MinimalElement(ideal, AffineWeylElement.from_word(rs, word), word)
     with pytest.raises(RootSystemError, match=message):
         check_minimal_element(me)
@@ -348,7 +347,7 @@ def test_z_point_defining_property():
         rs = root_system(sid)
         n = rs.rank
         inv = cartan_inverse(rs)  # the reference: z solves A^T z = k, and inv(A^T) = inv(A)^T
-        assert z_point(minimal_element(empty_ideal(rs))) == (0,) * n
+        assert z_point(minimal_element(ideal_from_mask(rs, 0))) == (0,) * n
         for ideal in enumerate_upper_ideals(rs):
             me = minimal_element(ideal)
             levels = check_minimal_element(me)
@@ -481,6 +480,11 @@ def test_golden_sl4_statistics():
     assert me.element == AffineWeylElement.from_word(rs, (0, 1, 3, 0, 3, 1, 2, 1, 3, 0))
 
 
+def inclusion_poset(batch):
+    """The reference order on a batch of ideals: inclusion of root sets, by mask."""
+    return FinitePoset(batch, lambda a, b: a.mask & ~b.mask == 0)
+
+
 def test_narayana_matches_poset_covering(small_system):
     rs = small_system
     poly = narayana_polynomial(rs)
@@ -493,7 +497,7 @@ def test_narayana_matches_poset_covering(small_system):
 
 def test_ideal_poset_has_unique_minimum(small_system):
     poset = inclusion_poset(enumerate_upper_ideals(small_system))
-    empty = empty_ideal(small_system)
+    empty = ideal_from_mask(small_system, 0)
     assert all(poset.leq(empty, x) for x in poset.elements)
 
 

@@ -14,7 +14,7 @@ MODULES = [
 ]
 SOURCES = sorted((ROOT / "src" / "rootposets").glob("*.py"))
 # The modules that still compute with Fraction; the rest are integer-only.
-FRACTION_MODULES = {"rootsystem", "affine"}
+FRACTION_MODULES = {"affine"}
 
 
 def unused_imports(source: str) -> list[str]:

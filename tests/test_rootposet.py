@@ -6,19 +6,19 @@ from rootposets.rootposet import (
     edge_type_counts,
     expected_edge_type_counts,
     expected_short_subdiagram_counts,
-    root_poset,
     short_root_subdiagram,
     short_subdiagram_equals_induced,
     short_subdiagram_type_counts,
     typed_hasse_edges,
 )
+from rootposets.posets import FinitePoset
 from rootposets.rootsystem import root_system
 
 
 def test_typed_edges_are_covers(small_system):
     rs = small_system
     edges = {(e.upper, e.lower) for e in typed_hasse_edges(rs)}
-    assert edges == set(root_poset(rs).covers())
+    assert edges == set(FinitePoset(rs.positive_roots, rs.root_leq).covers())
 
 
 def test_edge_difference_is_the_type(small_system):

@@ -2,14 +2,51 @@ from fractions import Fraction as Q
 
 import pytest
 
+from rootposets.affine import fundamental_coweights
 from rootposets.rootsystem import (
     RootSystemError,
+    _dynkin_edges,
     admissible_systems,
     cartan_matrix,
     root_system,
 )
 
 ALL_IDS = [str(sid) for sid in admissible_systems(8)]
+
+
+def reference_lengths(family, n):
+    """d_i = (alpha_i, alpha_i)/2 in Fractions, long roots of length^2 = 2."""
+    if family in "ADE":
+        return (Q(1),) * n
+    if family == "B":
+        return (Q(1),) * (n - 1) + (Q(1, 2),)
+    if family == "C":
+        return (Q(1, 2),) * (n - 1) + (Q(1),)
+    if family == "F":
+        return (Q(1, 2), Q(1, 2), Q(1), Q(1))
+    return (Q(1), Q(1, 3))  # G2: alpha_1 long, alpha_2 short
+
+
+def reference_cartan(family, n):
+    """<alpha_j, alpha_i^vee> = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), with
+    (alpha_i, alpha_j) = -max(d_i, d_j) on each bond, in Fractions."""
+    d = reference_lengths(family, n)
+    a = [[Q(2) if i == j else Q(0) for j in range(n)] for i in range(n)]
+    for i, j in _dynkin_edges(family, n):
+        a[i][j] = -max(d[i], d[j]) / d[i]
+        a[j][i] = -max(d[i], d[j]) / d[j]
+    return a
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_integer_lengths_match_the_fraction_definition(name):
+    rs = root_system(name)
+    d = reference_lengths(rs.family, rs.rank)
+    e, big_d = rs.form_weights, rs.form_denominator
+    assert [Q(ei, big_d) for ei in e] == list(d)
+    assert reference_cartan(rs.family, rs.rank) == [list(row) for row in rs.cartan]
+    assert list(rs.coroot_marks) == [di * t for di, t in zip(d, rs.theta)]
+    assert set(rs.short_simple_indices) == {i for i in range(rs.rank) if d[i] != 1}
 
 POSITIVE_ROOT_COUNTS = {
     "A3": 6,
@@ -60,16 +97,17 @@ def test_cartan_matrix_shape(small_system):
 
 def test_gram_matrix_symmetric_positive(small_system):
     rs = small_system
+    simple = rs.simple_roots
     for i in range(rs.rank):
         for j in range(rs.rank):
-            assert rs.gram[i][j] == rs.gram[j][i]
-        assert rs.gram[i][i] == rs.d[i] * 2
+            assert rs.form(simple[i], simple[j]) == rs.form(simple[j], simple[i])
+        assert rs.form(simple[i], simple[i]) == 2 * rs.form_weights[i] > 0
 
 
 def test_theta_is_dominant_long_and_unique_top(small_system):
     rs = small_system
     assert rs.is_dominant(rs.theta)
-    assert rs.norm2(rs.theta) == 2
+    assert rs.form(rs.theta, rs.theta) == 2 * rs.form_denominator
     top = rs.height(rs.theta)
     assert all(rs.height(r) < top for r in rs.positive_roots if r != rs.theta)
 
@@ -169,27 +207,31 @@ def test_factory_accepts_separate_rank():
 
 def test_fundamental_coweights(small_system):
     rs = small_system
-    cw = rs.fundamental_coweights()
+    cw = fundamental_coweights(rs)
     for i in range(rs.rank):
         for j in range(rs.rank):
-            assert rs.form(cw[i], rs.simple_roots[j]) == (1 if i == j else 0)
+            assert rs.form(cw[i], rs.simple_roots[j]) == (rs.form_denominator if i == j else 0)
 
 
 def reference_form(rs, x, y):
-    """The Gram double sum sum_ij x_i*gram[i][j]*y_j, in Fractions."""
+    """The Gram double sum sum_ij x_i*gram[i][j]*y_j in Fractions, with
+    gram[i][j] = d_i*cartan[i][j] built from the Fraction lengths d."""
     n = rs.rank
-    return sum((Q(x[i]) * rs.gram[i][j] * y[j] for i in range(n) for j in range(n)), Q(0))
+    d = reference_lengths(rs.family, n)
+    gram = [[d[i] * rs.cartan[i][j] for j in range(n)] for i in range(n)]
+    return sum((Q(x[i]) * gram[i][j] * y[j] for i in range(n) for j in range(n)), Q(0))
 
 
 @pytest.mark.parametrize("name", ALL_IDS)
 def test_form_matches_gram_double_sum(name):
     rs = root_system(name)
+    big_d = rs.form_denominator
     integral = list(rs.simple_roots) + [rs.theta]
     for x in integral:
         for y in integral:
             got = rs.form(x, y)
-            assert type(got) is Q and got == reference_form(rs, x, y)
-    for cw in rs.fundamental_coweights():
+            assert type(got) is int and got == big_d * reference_form(rs, x, y)
+    for cw in fundamental_coweights(rs):
         for root in rs.positive_roots:
-            assert rs.form(cw, root) == reference_form(rs, cw, root)
-            assert rs.form(root, cw) == reference_form(rs, root, cw)
+            assert rs.form(cw, root) == big_d * reference_form(rs, cw, root)
+            assert rs.form(root, cw) == big_d * reference_form(rs, root, cw)

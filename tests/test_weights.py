@@ -1,7 +1,8 @@
 import pytest
 
 from rootposets import verify
-from rootposets.rootsystem import cartan_inverse, root_system
+from rootposets.affine import cartan_inverse
+from rootposets.rootsystem import root_system
 from rootposets.weights import (
     _saturate,
     adjoint_weight,

@@ -1,0 +1,67 @@
+"""Witnesses: a broken derivation must turn its named verify line into a FAIL.
+
+Each test patches one derivation, runs `verify --suite all --max-rank 4` in
+process and requires the named line to FAIL.  The package's caches are
+cleared before and after, so that no result computed with the patch in place
+outlives the test and none computed without it hides the patch.
+"""
+
+import pytest
+
+from rootposets import _kernels, abelian, affine, ideals, rootposet, weights
+from rootposets.cli import main
+from rootposets.rootsystem import RootSystem, RootSystemError
+
+
+def clear_caches():
+    for module in (_kernels, abelian, affine, ideals, rootposet, weights):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
+
+
+@pytest.fixture
+def fresh_caches():
+    clear_caches()
+    yield
+    clear_caches()
+
+
+def verify_lines(capsys):
+    code = main(["verify", "--suite", "all", "--max-rank", "4"])
+    return code, capsys.readouterr().out.splitlines()
+
+
+def failed(lines, name):
+    """The FAIL lines whose check name is exactly `name` (details aside)."""
+    return [line for line in lines if line == f"FAIL  {name}" or line.startswith(f"FAIL  {name}  [")]
+
+
+def test_a_raising_suite_is_one_fail_line_and_the_others_still_run(monkeypatch, capsys, fresh_caches):
+    def refuse(rs):
+        raise RootSystemError("components of equal length classes must share h")
+
+    monkeypatch.setattr(rootposet, "expected_short_subdiagram_counts", refuse)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert lines.count(
+        "FAIL  delta: suite aborted by RootSystemError  [components of equal length classes must share h]"
+    ) == 1
+    assert not any(line.startswith(("PASS  delta:", "FAIL  delta: A")) for line in lines)
+    for suite in ("weights", "ad", "abelian", "covering"):
+        assert any(line.startswith(f"PASS  {suite}: ") for line in lines), suite
+    assert lines[-1].endswith(" passed, 1 failed")
+
+
+def test_all_long_roots_fail_the_long_type_count(monkeypatch, capsys, fresh_caches):
+    monkeypatch.setattr(RootSystem, "is_long", lambda self, root: True)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert failed(lines, "weights: B3 adjoint: every long type has 2h*-2 edges (h* = 5)")
+
+
+def test_non_orthogonal_classes_fail_the_cogenerator_check(monkeypatch, capsys, fresh_caches):
+    monkeypatch.setattr(RootSystem, "extended_form", lambda self, i, j: 1)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert failed(lines, "abelian: B3: co-generators of one Abelian ideal have orthogonal classes")
