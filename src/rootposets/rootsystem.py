@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add
 from typing import Sequence
 
 Root = tuple[int, ...]
@@ -168,13 +169,19 @@ class RootSystem:
     # -- construction -----------------------------------------------------
 
     def _generate_positive_roots(self) -> tuple[Root, ...]:
-        """Closure of the simple roots under root strings, height by height."""
+        """Closure of the simple roots under root strings, height by height.
+
+        Each root carries its pairings (<beta, alpha_j^vee>)_j, so a step
+        beta -> beta + alpha_i adds column i of the Cartan matrix to them.
+        """
         n = self.rank
-        found: set[Root] = set(self.simple_roots)
-        layers: list[list[Root]] = [list(self.simple_roots)]
-        while layers[-1]:
+        columns = [tuple(self.cartan[j][i] for j in range(n)) for i in range(n)]
+        found: dict[Root, tuple[int, ...]] = dict(zip(self.simple_roots, columns))
+        layer: list[Root] = list(self.simple_roots)
+        while layer:
             nxt: list[Root] = []
-            for beta in layers[-1]:
+            for beta in layer:
+                pairings = found[beta]
                 for i in range(n):
                     down = list(beta)
                     p = 0
@@ -184,14 +191,14 @@ class RootSystem:
                             p += 1
                         else:
                             break
-                    if p - self.pairing(beta, i) >= 1:
+                    if p - pairings[i] >= 1:
                         up = list(beta)
                         up[i] += 1
                         cand = tuple(up)
                         if cand not in found:
-                            found.add(cand)
+                            found[cand] = tuple(map(add, pairings, columns[i]))
                             nxt.append(cand)
-            layers.append(nxt)
+            layer = nxt
         return tuple(sorted(found, key=lambda r: (sum(r), r)))
 
     def _exponents(self) -> tuple[int, ...]:

@@ -1,20 +1,25 @@
 """Weight systems of highest-weight modules and their weight diagrams.
 
 Weights live in fundamental-weight coordinates (integer tuples).  The
-multiplicity function comes from the Freudenthal recursion in integers, with
-the form scaled by D (`RootSystem.form_weights`); the total dimension is
-checked against the Weyl dimension formula on every construction (a mismatch
-raises `RootSystemError`), so a silently incomplete weight set cannot
-survive.  Weight-diagram edges join weights differing by a simple root and
-carry multiplicity min of the endpoint multiplicities; the per-type counts
-can be recomputed independently through restriction to the sl2 of that
-simple root (`sl2_edge_count`).
+multiplicity function comes from the Freudenthal recursion in integers over
+the dominant weights only, with the form scaled by D
+(`RootSystem.form_weights`); every other weight takes the multiplicity of its
+dominant representative, found once per module (`_dominant_map`).  The total
+dimension is checked against the Weyl dimension formula on every construction
+(a mismatch raises `RootSystemError`), so a silently incomplete weight set
+cannot survive.  Weight-diagram edges join weights differing by a simple root
+and carry multiplicity min of the endpoint multiplicities; each module builds
+its diagram once (`WeightSystem.edges`), and the per-type counts can be
+recomputed independently through restriction to the sl2 of that simple root
+(`sl2_edge_count`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add, mul, sub
 from typing import NamedTuple, Sequence
 
 from .rootsystem import Root, RootSystem, RootSystemError
@@ -40,7 +45,8 @@ def _pair(rs: RootSystem, weight: Sequence[int], root_coords: Sequence[int]) -> 
 
 
 def root_to_weight_coords(rs: RootSystem, root: Root) -> Weight:
-    return tuple(rs.pairing(root, i) for i in range(rs.rank))
+    """(<root, alpha_i^vee>)_i: the Cartan matrix times the root coordinates."""
+    return tuple(sum(map(mul, row, root)) for row in rs.cartan)
 
 
 def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
@@ -86,6 +92,11 @@ class WeightSystem:
     def __contains__(self, weight: Weight) -> bool:
         return weight in self.multiplicity
 
+    @cached_property
+    def edges(self) -> list[WeightEdge]:
+        """The weight diagram, built once per module."""
+        return weight_diagram_edges(self)
+
 
 def weight_system(rs: RootSystem, highest: Weight) -> WeightSystem:
     """All weights of the irreducible module with the given highest weight."""
@@ -99,11 +110,10 @@ def weight_system(rs: RootSystem, highest: Weight) -> WeightSystem:
     for w, diff in below.items():
         if any(c < 0 for c in diff):
             raise RootSystemError(f"{w} is not below {highest} in the root lattice")
-    dominants = sorted(
-        (w for w in below if all(c >= 0 for c in w)), key=lambda w: sum(below[w])
-    )
-    mult = _freudenthal(rs, highest, below, dominants)
-    full = {w: mult[dominant_representative(rs, w)] for w in below}
+    dom = _dominant_map(rs, below)
+    dominants = sorted((w for w in below if dom[w] == w), key=lambda w: sum(below[w]))
+    mult = _freudenthal(rs, highest, below, dominants, dom)
+    full = {w: mult[dom[w]] for w in below}
     ws = WeightSystem(rs, highest, full)
     if ws.dim != weyl_dimension(rs, highest):
         raise RootSystemError("multiplicities disagree with Weyl dimension")
@@ -123,36 +133,79 @@ def _saturate(rs: RootSystem, highest: Weight) -> dict[Weight, Root]:
     while stack:
         mu = stack.pop()
         diff = below[mu]
-        for i in range(rs.rank):
+        for i, alpha in enumerate(alphas):
             c = mu[i]
-            step = -1 if c > 0 else 1
+            move, sign = (sub, 1) if c > 0 else (add, -1)
+            nu = mu
             for k in range(1, abs(c) + 1):
-                nu = tuple(x + step * k * a for x, a in zip(mu, alphas[i]))
+                nu = tuple(map(move, nu, alpha))
                 if nu not in below:
-                    below[nu] = tuple(d - step * k * (j == i) for j, d in enumerate(diff))
+                    d = list(diff)
+                    d[i] += sign * k
+                    below[nu] = tuple(d)
                     stack.append(nu)
     return below
 
 
+def _dominant_map(rs: RootSystem, below: dict[Weight, Root]) -> dict[Weight, Weight]:
+    """{weight: its dominant representative} for every weight of `below`.
+
+    The rule of `dominant_representative` (reflect at the first negative
+    coordinate), with every weight on a path memoized: `below` is W-stable, so
+    each path stays inside it and every weight is reflected at most once.
+    """
+    alphas = [_alpha_in_weight_coords(rs, i) for i in range(rs.rank)]
+    dom: dict[Weight, Weight] = {}
+    for start in below:
+        path = []
+        w = start
+        while w not in dom:
+            neg = next((i for i, c in enumerate(w) if c < 0), None)
+            if neg is None:
+                dom[w] = w
+                break
+            path.append(w)
+            c = w[neg]
+            w = tuple(x - c * a for x, a in zip(w, alphas[neg]))
+        top = dom[w]
+        for p in path:
+            dom[p] = top
+    return dom
+
+
 def _freudenthal(
-    rs: RootSystem, highest: Weight, below: dict[Weight, Root], dominants: list[Weight]
+    rs: RootSystem,
+    highest: Weight,
+    below: dict[Weight, Root],
+    dominants: list[Weight],
+    dom: dict[Weight, Weight],
 ) -> dict[Weight, int]:
-    """Multiplicities of the dominant weights, highest first; D cancels in the ratio."""
+    """Multiplicities of the dominant weights, highest first; D cancels in the ratio.
+
+    Along the string mu + k*gamma, D*(mu + k*gamma, gamma) grows by
+    D*(gamma, gamma) per step, so each step costs one addition; `dom` has
+    exactly the weights of `below`, so a miss ends the string.
+    """
     mult: dict[Weight, int] = {highest: 1}
-    gamma_fw = {g: root_to_weight_coords(rs, g) for g in rs.positive_roots}
+    strings = []
+    for gamma in rs.positive_roots:
+        gfw = root_to_weight_coords(rs, gamma)
+        e_gamma = tuple(e * g for e, g in zip(rs.form_weights, gamma))
+        strings.append((gfw, e_gamma, sum(map(mul, gfw, e_gamma))))
     for mu in dominants:
         if mu == highest:
             continue
         acc = 0
-        for gamma in rs.positive_roots:
-            gfw = gamma_fw[gamma]
-            k = 1
+        for gfw, e_gamma, step in strings:
+            up = mu
+            pair = sum(map(mul, mu, e_gamma))
             while True:
-                up = tuple(m + k * a for m, a in zip(mu, gfw))
-                if up not in below:
+                up = tuple(map(add, up, gfw))
+                top = dom.get(up)
+                if top is None:
                     break
-                acc += mult[dominant_representative(rs, up)] * _pair(rs, up, gamma)
-                k += 1
+                pair += step
+                acc += mult[top] * pair
         lam_mu_rho = [h + m + 2 for h, m in zip(highest, mu)]
         denom = _pair(rs, lam_mu_rho, below[mu])
         if denom <= 0:
@@ -171,20 +224,22 @@ def weight_diagram_edges(ws: WeightSystem) -> list[WeightEdge]:
     """Edges (nu+alpha_i, nu) with multiplicity min of endpoint multiplicities."""
     rs = ws.rs
     alphas = [_alpha_in_weight_coords(rs, i) for i in range(rs.rank)]
+    mult = ws.multiplicity
     edges = []
     for lower in ws.weights:
-        for i in range(rs.rank):
-            upper = tuple(x + a for x, a in zip(lower, alphas[i]))
-            if upper in ws.multiplicity:
-                m = min(ws.multiplicity[upper], ws.multiplicity[lower])
-                edges.append(WeightEdge(upper, lower, i, m))
+        m_lower = mult[lower]
+        for i, alpha in enumerate(alphas):
+            upper = tuple(map(add, lower, alpha))
+            m_upper = mult.get(upper)
+            if m_upper is not None:
+                edges.append(WeightEdge(upper, lower, i, min(m_upper, m_lower)))
     return edges
 
 
 def edge_type_counts(ws: WeightSystem) -> list[int]:
     """Per-type edge counts, multiplicities included."""
     counts = [0] * ws.rs.rank
-    for e in weight_diagram_edges(ws):
+    for e in ws.edges:
         counts[e.type_index] += e.multiplicity
     return counts
 
@@ -212,7 +267,7 @@ def zero_deleted_type_counts(ws: WeightSystem) -> list[int]:
     """Per-type edge counts after deleting the zero weight from the diagram."""
     zero = (0,) * ws.rs.rank
     counts = [0] * ws.rs.rank
-    for e in weight_diagram_edges(ws):
+    for e in ws.edges:
         if e.upper != zero and e.lower != zero:
             counts[e.type_index] += e.multiplicity
     return counts

@@ -235,3 +235,37 @@ def test_form_matches_gram_double_sum(name):
         for root in rs.positive_roots:
             assert rs.form(cw, root) == big_d * reference_form(rs, cw, root)
             assert rs.form(root, cw) == big_d * reference_form(rs, root, cw)
+
+
+def reference_positive_roots(rs):
+    """The closure under root strings with every pairing computed afresh."""
+    n = rs.rank
+    found = set(rs.simple_roots)
+    layers = [list(rs.simple_roots)]
+    while layers[-1]:
+        nxt = []
+        for beta in layers[-1]:
+            for i in range(n):
+                down = list(beta)
+                p = 0
+                while True:
+                    down[i] -= 1
+                    if tuple(down) in found:
+                        p += 1
+                    else:
+                        break
+                if p - rs.pairing(beta, i) >= 1:
+                    up = list(beta)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in found:
+                        found.add(cand)
+                        nxt.append(cand)
+        layers.append(nxt)
+    return tuple(sorted(found, key=lambda r: (sum(r), r)))
+
+
+@pytest.mark.parametrize("name", ALL_IDS + ["A12", "B12", "C12", "D12"])
+def test_positive_roots_from_carried_pairings_match_the_reference(name):
+    rs = root_system(name)
+    assert rs.positive_roots == reference_positive_roots(rs)

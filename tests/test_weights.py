@@ -1,12 +1,15 @@
 import pytest
 
-from rootposets import verify
+from rootposets import verify, weights
 from rootposets.affine import cartan_inverse
 from rootposets.rootsystem import root_system
 from rootposets.weights import (
+    _dominant_map,
+    _pair,
     _saturate,
     adjoint_weight,
     dominant_representative,
+    root_to_weight_coords,
     edge_type_counts,
     fundamental_weight,
     short_dominant_weight,
@@ -143,3 +146,67 @@ def test_saturation_records_the_root_lattice_difference(rs, highest):
         want = tuple(sum(inv[i][j] * lam_mu[j] for j in range(rs.rank)) for i in range(rs.rank))
         assert diff == want
         assert all(c >= 0 for c in diff)
+
+
+WEIGHTS_CORPUS = verify._weights_corpus(8)
+CORPUS_IDS = [f"{rs.id}-{label}" for rs, _, label in WEIGHTS_CORPUS]
+
+
+def reference_multiplicities(rs, highest):
+    """Freudenthal weight by weight: every pairing and dominant weight afresh."""
+    below = _saturate(rs, highest)
+    dominants = sorted((w for w in below if all(c >= 0 for c in w)), key=lambda w: sum(below[w]))
+    mult = {highest: 1}
+    for mu in dominants:
+        if mu == highest:
+            continue
+        acc = 0
+        for gamma in rs.positive_roots:
+            gfw = root_to_weight_coords(rs, gamma)
+            k = 1
+            while True:
+                up = tuple(m + k * a for m, a in zip(mu, gfw))
+                if up not in below:
+                    break
+                acc += mult[dominant_representative(rs, up)] * _pair(rs, up, gamma)
+                k += 1
+        lam_mu_rho = [h + m + 2 for h, m in zip(highest, mu)]
+        value, rest = divmod(2 * acc, _pair(rs, lam_mu_rho, below[mu]))
+        assert rest == 0 and value >= 1
+        mult[mu] = value
+    return {w: mult[dominant_representative(rs, w)] for w in below}
+
+
+@pytest.mark.parametrize("rs,highest,label", WEIGHTS_CORPUS, ids=CORPUS_IDS)
+def test_multiplicities_match_per_weight_freudenthal(rs, highest, label):
+    assert weight_system(rs, highest).multiplicity == reference_multiplicities(rs, highest)
+
+
+@pytest.mark.parametrize("rs,highest,label", WEIGHTS_CORPUS, ids=CORPUS_IDS)
+def test_dominant_map_matches_dominant_representative(rs, highest, label):
+    below = _saturate(rs, highest)
+    dom = _dominant_map(rs, below)
+    assert set(dom) == set(below)
+    for w in below:
+        assert dom[w] == dominant_representative(rs, w)
+
+
+def test_suite_weights_builds_one_diagram_per_module(monkeypatch):
+    built = []
+
+    def counting(ws):
+        built.append(ws.highest)
+        return weight_diagram_edges(ws)
+
+    monkeypatch.setattr(weights, "weight_diagram_edges", counting)
+    results = verify.suite_weights(8)
+    assert all(r.passed for r in results)
+    assert len(WEIGHTS_CORPUS) == 57
+    assert len(built) == 57
+
+
+def test_edges_are_cached_on_the_module():
+    rs = root_system("B3")
+    ws = weight_system(rs, adjoint_weight(rs))
+    assert ws.edges is ws.edges
+    assert ws.edges == weight_diagram_edges(ws)

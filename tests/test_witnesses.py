@@ -65,3 +65,69 @@ def test_non_orthogonal_classes_fail_the_cogenerator_check(monkeypatch, capsys, 
     code, lines = verify_lines(capsys)
     assert code == 1
     assert failed(lines, "abelian: B3: co-generators of one Abelian ideal have orthogonal classes")
+
+
+def failed_with_prefix(lines, prefix):
+    """The FAIL lines whose check name starts with `prefix`."""
+    return [line for line in lines if line.startswith(f"FAIL  {prefix}")]
+
+
+def test_a_wrong_sl2_oracle_fails_the_oracle_line(monkeypatch, capsys, fresh_caches):
+    sl2_edge_count = weights.sl2_edge_count
+    monkeypatch.setattr(weights, "sl2_edge_count", lambda ws, i: sl2_edge_count(ws, i) + 1)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    oracle = [
+        line
+        for line in failed_with_prefix(lines, "weights: B3 adjoint: per-type edge counts ")
+        if "match the sl2 oracle" in line
+    ]
+    assert oracle
+
+
+def test_rotated_edge_counts_fail_the_spin_line(monkeypatch, capsys, fresh_caches):
+    edge_type_counts = weights.edge_type_counts
+
+    def rotated(ws):
+        counts = edge_type_counts(ws)
+        return counts[1:] + counts[:1]
+
+    monkeypatch.setattr(weights, "edge_type_counts", rotated)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert failed(lines, "weights: B3 spin: counts 2^(n-2) per chain type, 2^(n-1) for the short type")
+
+
+def test_undeleted_counts_fail_the_zero_deletion_line(monkeypatch, capsys, fresh_caches):
+    monkeypatch.setattr(weights, "zero_deleted_type_counts", weights.edge_type_counts)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert failed(lines, "weights: B3 adjoint: deleting the zero weight drops 2 edges per type")
+
+
+def test_a_wrong_zero_weight_multiplicity_aborts_the_weights_suite(monkeypatch, capsys, fresh_caches):
+    freudenthal = weights._freudenthal
+
+    def off_by_one_at_zero(rs, highest, *rest):
+        mult = freudenthal(rs, highest, *rest)
+        zero = (0,) * rs.rank
+        if zero in mult:
+            mult[zero] += 1
+        return mult
+
+    monkeypatch.setattr(weights, "_freudenthal", off_by_one_at_zero)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert lines.count(
+        "FAIL  weights: suite aborted by RootSystemError  [multiplicities disagree with Weyl dimension]"
+    ) == 1
+    assert not any(line.startswith("PASS  weights:") for line in lines)
+
+
+def test_a_missing_edge_fails_the_e6_minuscule_line(monkeypatch, capsys, fresh_caches):
+    weight_diagram_edges = weights.weight_diagram_edges
+    monkeypatch.setattr(weights, "weight_diagram_edges", lambda ws: weight_diagram_edges(ws)[1:])
+    code = main(["verify", "--suite", "weights", "--max-rank", "6"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert failed_with_prefix(lines, "weights: E6 minuscule 27: 36 edges, 6 per type (")
