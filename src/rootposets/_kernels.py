@@ -14,10 +14,11 @@ the lowest j still present.  Peeling s_j changes only v_j and its neighbours
 in the extended Dynkin diagram, so a word of length l costs O(l*n).  When
 the set is empty, v_i = w^{-1}(alpha_i).
 
-Given the final state of an earlier peel of x (its matrix and the images
-x^{-1}(alpha_i)), `peel` resumes from it and peels only further rows D: on
-success the element is u*x with N(u*x) = N(x) + D, so an ideal's element can
-be built from its parent's along a cover.  The word of a resumed peel holds
+The peel forms no matrix; where a word is needed, `word_matrix` builds
+s_word from it.  Given the final images x^{-1}(alpha_i) of an earlier peel
+of x, `peel` resumes from them and peels only further rows D: on success
+the element is u*x with N(u*x) = N(x) + D, so an ideal's images can be
+built from its parent's along a cover.  The word of a resumed peel holds
 only the letters it peeled; it is not the lowest-index word of u*x.
 """
 
@@ -77,10 +78,6 @@ def peel_tables(rs: RootSystem) -> PeelTables:
     )
 
 
-def identity_rows(size: int) -> list[list[int]]:
-    return [[int(r == c) for c in range(size)] for r in range(size)]
-
-
 def reflect_rows(m: list[list[int]], j: int, tables: PeelTables) -> None:
     """m <- s_j m in place: m - a[j] (h[j] m)."""
     combo = None
@@ -91,9 +88,17 @@ def reflect_rows(m: list[list[int]], j: int, tables: PeelTables) -> None:
         m[c] = [x - a * y for x, y in zip(m[c], combo)]
 
 
+def word_matrix(word: Sequence[int], tables: PeelTables) -> Matrix:
+    """s_word on affine-root coordinates, reflected from the last letter leftwards."""
+    size = len(tables.simples)
+    m = [[int(r == c) for c in range(size)] for r in range(size)]
+    for j in reversed(word):
+        reflect_rows(m, j, tables)
+    return tuple(map(tuple, m))
+
+
 class Peeled(NamedTuple):
     word: tuple[int, ...]  # the letters this peel found; the first peeled is last
-    matrix: Matrix  # w on affine-root coordinates
     images: Matrix  # w^{-1}(alpha_0), ..., w^{-1}(alpha_n): where a resumed peel starts
 
     @property
@@ -116,12 +121,7 @@ def peel(
     if len(remaining) != len(rows):
         raise PeelError("the rows contain duplicates")
     links = tables.links
-    if start is None:
-        images = list(tables.simples)  # v_i
-        matrix = identity_rows(len(images))
-    else:
-        images = list(start.images)
-        matrix = [list(row) for row in start.matrix]
+    images = list(tables.simples if start is None else start.images)  # v_i
     present = [v in remaining for v in images]
     peeled = []
     while remaining:
@@ -136,7 +136,6 @@ def peel(
             present[i] = vi in remaining
         vj = images[j] = tuple(-y for y in vj)
         present[j] = vj in remaining
-        reflect_rows(matrix, j, tables)
         peeled.append(j)
     peeled.reverse()
-    return Peeled(tuple(peeled), tuple(map(tuple, matrix)), tuple(images))
+    return Peeled(tuple(peeled), tuple(images))

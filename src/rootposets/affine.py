@@ -88,10 +88,6 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def _frozen(m: list[list[int]]) -> Matrix:
-    return tuple(map(tuple, m))
-
-
 @dataclass(frozen=True)
 class AffineWeylElement:
     """w as an integer matrix on affine-root coordinates (mu..., level).
@@ -109,7 +105,7 @@ class AffineWeylElement:
 
     @staticmethod
     def identity(rs: RootSystem) -> "AffineWeylElement":
-        eye = _frozen(_kernels.identity_rows(rs.rank + 1))
+        eye = _kernels.word_matrix((), _kernels.peel_tables(rs))
         return AffineWeylElement(rs, eye, eye)
 
     @staticmethod
@@ -118,17 +114,14 @@ class AffineWeylElement:
 
     @staticmethod
     def from_word(rs: RootSystem, word: Sequence[int]) -> "AffineWeylElement":
-        """s_word: the matrix from the last letter leftwards, the inverse from the first."""
-        tables = _kernels.peel_tables(rs)
-        m = _kernels.identity_rows(rs.rank + 1)
-        inv = _kernels.identity_rows(rs.rank + 1)
+        """s_word, with its inverse s_(reversed word)."""
         for i in word:
             if not 0 <= i <= rs.rank:
                 raise RootSystemError(f"affine generator index {i} out of range 0..{rs.rank}")
-            _kernels.reflect_rows(inv, i, tables)
-        for i in reversed(word):
-            _kernels.reflect_rows(m, i, tables)
-        return AffineWeylElement(rs, _frozen(m), _frozen(inv))
+        tables = _kernels.peel_tables(rs)
+        return AffineWeylElement(
+            rs, _kernels.word_matrix(word, tables), _kernels.word_matrix(word[::-1], tables)
+        )
 
     # -- group structure ------------------------------------------------------
 

@@ -5,8 +5,8 @@ An upper ideal is upward-closed in the root order and is identified by its
 generating antichain (its minimal roots).  Each ideal I determines a unique
 affine Weyl element w with inversion set {k*delta - gamma : gamma in I^k},
 where I^(k+1) = (I^k + I) cap positive roots; the element is recovered by
-peeling that inversion set (`_kernels.peel`, which builds the integer matrix
-of w as it goes), and every construction re-verifies the defining conditions:
+peeling that inversion set (`_kernels.peel`, which yields its word and
+w^{-1}(alpha_i)), and every construction re-verifies the defining conditions:
 
   (containment)  gamma in I  iff  w(delta - gamma) < 0
   (dominance)    w(alpha) > 0 for every finite simple alpha
@@ -19,16 +19,17 @@ the point z = w(0), separating walls of w^{-1}*A, left descents of w).  The
 facet and descent routes read the same levels of w^{-1}(alpha_i), so they
 differ only by the walk of z along the reduced word.
 
-To type a whole lattice, `generator_types` builds the elements along its
-covers (`lattice_elements`) instead of one full peel per ideal.  The parent
-P of I is I minus its first generator g; w_I resumes the peel of the
-parent's element and peels only the rows of I's inversion set that the
+To type a whole lattice, `generator_types` walks its covers
+(`lattice_images`) instead of one full peel per ideal.  The parent P of I
+is I minus its first generator g; the images w_I^{-1}(alpha_i) resume the
+peel of the parent's and peel only the rows of I's inversion set that the
 parent's lacks, the new masks N_k = I^k minus P^k.  The walk carries the
 powers too: I^k = P^k | (N_(k-1) + P) | (I^(k-1) + g) (`_cover_powers`), so
 no lattice ideal computes its `powers` from scratch.  A successful peel
-yields exactly the target inversion set, so the element is the one
-`minimal_element` builds; its word is never formed.  The Abelian ideals
-(`abelian`) share the antichain search and the typing.
+yields exactly the target inversion set, so the images are those of the
+element `minimal_element` builds, and the type t of gamma, the t with
+w^{-1}(alpha_t) = gamma - delta, is one lookup: no matrix is formed.  The
+Abelian ideals (`abelian`) share the antichain search and the typing.
 
 The per-system tables are bit masks over the root indices: the order is
 built along the covers, and the sum table from integer root keys that add
@@ -296,13 +297,14 @@ def minimal_element(ideal: UpperIdeal) -> MinimalElement:
     rows = target_inversion_rows(ideal)
     if not rows:
         return MinimalElement(ideal, AffineWeylElement.identity(rs), ())
+    tables = _kernels.peel_tables(rs)
     try:
-        peeled = _kernels.peel(rows, _kernels.peel_tables(rs))
+        peeled = _kernels.peel(rows, tables)
     except _kernels.PeelError as exc:  # should be impossible for an upper ideal
         raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
     if peeled.word[-1] != 0:
         raise RootSystemError("nonempty ideal must end its reduced word with s_0")
-    element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
+    element = AffineWeylElement(rs, _kernels.word_matrix(peeled.word, tables), peeled.inverse)
     return MinimalElement(ideal, element, peeled.word)
 
 
@@ -403,14 +405,12 @@ def _cover_powers(
     return tuple(powers), tuple(news)
 
 
-def lattice_elements(
-    batch: Iterable[UpperIdeal],
-) -> Iterator[tuple[UpperIdeal, AffineWeylElement]]:
-    """(I, w_I) for each ideal of a batch of one system, smallest first.
+def lattice_images(batch: Iterable[UpperIdeal]) -> Iterator[tuple[UpperIdeal, _kernels.Matrix]]:
+    """(I, w_I^{-1}(alpha_0..n)) for each ideal of a batch of one system, smallest first.
 
-    w_I resumes the peel of w_P, P = I minus its first generator, with the
-    rows of I that P lacks: one row when I is Abelian.  The powers of I come
-    from P's along the cover (`_cover_powers`), so the walk reads no
+    The images resume the peel of w_P, P = I minus its first generator, with
+    the rows of I that P lacks: one row when I is Abelian.  The powers of I
+    come from P's along the cover (`_cover_powers`), so the walk reads no
     `UpperIdeal.powers`.  Raises if a parent is missing from the batch.
     """
     ordered = sorted(batch, key=len)
@@ -422,14 +422,14 @@ def lattice_elements(
     # a state is dropped after its last child is built: a walk over the
     # 25 080 E8 ideals then holds at most 403 states at once
     children = Counter(parent_masks.values())
-    states: dict[int, tuple[tuple[int, ...], _kernels.Peeled | None]] = {}
+    states: dict[int, tuple[tuple[int, ...], _kernels.Peeled]] = {}
     for ideal in ordered:
         rs = ideal.rs
+        tables = _kernels.peel_tables(rs)
         parent_mask = parent_masks.get(ideal.mask)
         if parent_mask is None:
             powers: tuple[int, ...] = ()
-            peeled = None
-            element = AffineWeylElement.identity(rs)
+            peeled = _kernels.Peeled((), tables.simples)
         else:
             try:
                 parent_powers, start = states[parent_mask]
@@ -444,13 +444,12 @@ def lattice_elements(
             powers, new = _cover_powers(rs, parent_mask, parent_powers, g)
             rows = target_inversion_rows(ideal, new)
             try:
-                peeled = _kernels.peel(rows, _kernels.peel_tables(rs), start)
+                peeled = _kernels.peel(rows, tables, start)
             except _kernels.PeelError as exc:  # should be impossible for an upper ideal
                 raise RootSystemError(f"peeling failed for {ideal.generators}: {exc}") from exc
-            element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
         if children[ideal.mask]:
             states[ideal.mask] = (powers, peeled)
-        yield ideal, element
+        yield ideal, peeled.images
 
 
 @lru_cache(maxsize=None)
@@ -459,14 +458,18 @@ def generator_types(batch: tuple[UpperIdeal, ...]) -> dict[int, dict[Root, int]]
 
     The one typing of a lattice: cached per batch, which both enumerations
     return as cached tuples, so each lattice is walked once per process.  The
-    cached dicts are shared: read them, do not mutate them.  The elements come
-    from `lattice_elements`, which builds no word; `generator_edge_types`
-    reads none.
+    cached dicts are shared: read them, do not mutate them.  Each type is the
+    t with w_I^{-1}(alpha_t) = gamma - delta among the images of
+    `lattice_images`; `generator_edge_types` types by the matrix action.
     """
-    return {
-        ideal.mask: generator_edge_types(MinimalElement(ideal, element, ()))
-        for ideal, element in lattice_elements(batch)
-    }
+    out = {}
+    for ideal, images in lattice_images(batch):
+        index = {v: t for t, v in enumerate(images)}
+        try:
+            out[ideal.mask] = {gamma: index[(*gamma, -1)] for gamma in ideal.generators}
+        except KeyError as exc:
+            raise RootSystemError(f"{exc} is no w^-1 image of an affine simple root") from None
+    return out
 
 
 def typed_edges(batch: tuple[UpperIdeal, ...]) -> list[IdealEdge]:

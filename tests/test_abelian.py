@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rootposets import _kernels, abelian, verify
@@ -30,7 +32,7 @@ from rootposets.ideals import (
     generator_edge_types,
     generator_types,
     ideal_from_mask,
-    lattice_elements,
+    lattice_images,
     minimal_element,
     principal_ideal,
     type_counts,
@@ -173,16 +175,17 @@ def test_hyperplane_criterion_matches_alcove_vertices(name):
 
 @pytest.mark.parametrize("name", ALL_IDS)
 def test_generator_type_table_matches_fresh_typing(name):
-    # the lattice resumes the parent's peel; each element must be the one a
-    # full peel of the ideal builds, inverse included
+    # the lattice resumes the parent's peel; its images w^{-1}(alpha_i) must
+    # be those of the element a full peel of the ideal builds, and they
+    # determine that element
     rs = root_system(name)
     ideals = enumerate_abelian_ideals(rs)
     table = generator_types(ideals)
     assert set(table) == {ideal.mask for ideal in ideals}
-    for ideal, element in lattice_elements(ideals):
+    for ideal, images in lattice_images(ideals):
         me = minimal_element(ideal)
-        assert element == me.element
-        assert element.inverse_matrix == me.element.inverse_matrix
+        inverse = me.element.inverse().simple_images()
+        assert images == tuple((*v.finite, v.level) for v in inverse)
         assert table[ideal.mask] == generator_edge_types(me)
 
 
@@ -233,6 +236,73 @@ def test_abelian_typing_peels_one_row_per_ideal(monkeypatch):
     # parent's inversion set, gamma the generator removed
     assert built == []
     assert peeled == [1] * (len(enumerate_abelian_ideals(rs)) - 1) == [1] * 15
+
+
+def test_abelian_typing_reflects_no_rows(monkeypatch):
+    # each type is looked up among the peel's images w^{-1}(alpha_t): the
+    # walk builds no matrix
+    rs = root_system("F4")
+    reflected = []
+    original = _kernels.reflect_rows
+
+    def counted(m, j, tables):
+        reflected.append(j)
+        return original(m, j, tables)
+
+    monkeypatch.setattr(_kernels, "reflect_rows", counted)
+    generator_types.cache_clear()
+    try:
+        table = generator_types(enumerate_abelian_ideals(rs))
+    finally:
+        generator_types.cache_clear()
+    assert len(table) == 16
+    assert reflected == []
+
+
+# sha256 of repr(sorted(generator_types(batch).items())) over each system's
+# Abelian lattice: the whole typing table, not only its counts
+ABELIAN_TYPE_TABLE_SHA256 = {
+    "A1": "2e19b3414406c4e5c0ba7010d8fca3d76a57210b6b44753a7cac11d464ca6d09",
+    "A2": "5271dd70f563bd800ab53e2697275894f2f018b3019d1ef42bb12d18afced0dd",
+    "A3": "063a15c68755452dee3cefdf96395bd85575d17bbd62bbfb265b09814a222585",
+    "A4": "e0c61a3beaad9eb1e219495866bb9259138b0eaa7e02b576ee3d961ea5afecc2",
+    "A5": "6ee150656fb5eea66ccf39755a2059d8dc00ebae5ba69b38194394a7db29ee46",
+    "A6": "18a217952e6a1866d9b9f8f95363bf02238491c95c49a5505f4dd263b7a92866",
+    "A7": "eb55217a01e8d67a8482423468eafcc0be4828d1376ae54182575655f9c3d7bd",
+    "A8": "68ff27e55f478f1e81a6a12a9fb4ea8d7f141124b315fc39168fef4dda7d06aa",
+    "B2": "138dabbf34c8fc47588d6a0f4c459c7a93eee07c2a26961f6b5249c95b909abd",
+    "B3": "5aad0dda19b5648c32a02cc7e5697149cf7e8e8e672af86de1dc5de7c9be2075",
+    "B4": "96cc372c6882fd0517fdc739d890f0889789bf02572f47e417aeeb37be66f214",
+    "B5": "cdb0d3cdca2b3ac3e4b2d4581a43f6cc31a4e787aed2849d343f5de57fd5b51e",
+    "B6": "4b09621a723598900bb3fd7bc3e2cc72607dfbf772b403be131b1e5ef4f7760f",
+    "B7": "f25a760a9794e66169722362a868bbd891da430ec575e418e3dc0f3641a70a33",
+    "B8": "b646bf2991cb39ed6e8d7374e9f3ee9e359d6f4b0abb42771fcc55fda01705da",
+    "C2": "91bf20efd914e72ba2e7a9d26bf444b9fc59e5bb92d90239ecd519213a896893",
+    "C3": "3c7b00b6622e7a0721fac7b659e82aff839d9aed7d212366f7ace38a1b135c51",
+    "C4": "919b005aad6d32c0380e2c32a983b3089aa92511d5cbca2df7ef2ff4a5f58c35",
+    "C5": "2c94d55d3691d221bca025cc89c3bc9aa6e7bfbb710968b9cf2059fe07b401fd",
+    "C6": "e2e5bf910ee670a3aedb3209eaa4297246113107c70b53f27a4a2c0dd0e15abe",
+    "C7": "5fb06f5cb3b61560823b15990852b268329d065423f4c6bbec12c9384b3f022d",
+    "C8": "161c06ee7f64dd9928ef2ae65d216a36b0894178950848badd4d8b50707393d8",
+    "D3": "93042ae174c8b6eb92803fc07e2597846514105b0d2f2fedcc6bfccf732726b1",
+    "D4": "5e2250ea17537c92f0b191337c47495cef0bb9cdf29a242bc33e8f57090714dd",
+    "D5": "6455d706d269d86b9289cc71e67fd63d970e1e122ef6bda2084954c52bfd5c0e",
+    "D6": "7b69fa638c9e2e9a19c65c37ae78c9b2e2eb29f67631686b897da4f7ad51c5e6",
+    "D7": "e666bb7f37f19355a3259a888edc2fc8979029e218708e8e3f7a3ae10f8933e4",
+    "D8": "7b65e18e0698b11a96a4e3ef5421a1d41b02641dfd981ec7f0edb90022baed83",
+    "E6": "42c1357a17b2f359224d5b9cb0cd34d784b9593911ebd5d5d7b0200d7e2b29e4",
+    "E7": "3eecdab594a5b475368f5eae7132b249f10f872678b57a134bc2ca41430a615c",
+    "E8": "ceb8c9057feee4ebdb5287ab06283ab0db5b9d5521dec28c18fd938f71518b1b",
+    "F4": "42a6f25bec0b54b47c2bb66780dd7a7ba3aaf8418db7342ba51ecf1b4cd94092",
+    "G2": "33df9b2154edd551aeed8e5781add1b38d8188913781532350d6c31a01b6d146",
+}
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_abelian_type_table_is_pinned(name):
+    table = generator_types(enumerate_abelian_ideals(root_system(name)))
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == ABELIAN_TYPE_TABLE_SHA256[name]
 
 
 def test_covering_suite_builds_no_minimal_element(monkeypatch):

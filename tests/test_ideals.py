@@ -1,3 +1,4 @@
+import hashlib
 from itertools import zip_longest
 
 import pytest
@@ -19,7 +20,7 @@ from rootposets.ideals import (
     ideal_count_closed_form,
     ideal_from_mask,
     ideal_from_roots,
-    lattice_elements,
+    lattice_images,
     minimal_element,
     narayana_polynomial,
     principal_ideal,
@@ -211,7 +212,7 @@ def test_walk_powers_match_the_ideal_powers(name, monkeypatch):
         return original(ideal, powers)
 
     monkeypatch.setattr(ideals, "target_inversion_rows", recording)
-    assert len(list(lattice_elements(batch))) == len(batch)
+    assert len(list(lattice_images(batch))) == len(batch)
     assert not any("powers" in vars(ideal) for ideal in batch)
     assert len(passed) == len(batch) - 1
     by_mask = {ideal.mask: ideal for ideal in batch}
@@ -421,13 +422,63 @@ def test_lattice_elements_match_the_full_peel(name):
     rs = root_system(name)
     batch = enumerate_upper_ideals(rs)
     types = generator_types(batch)
-    built = list(lattice_elements(batch))
+    built = list(lattice_images(batch))
     assert [ideal for ideal, _ in built] == list(batch)
-    for ideal, element in built:
+    for ideal, images in built:
         me = minimal_element(ideal)
-        assert element == me.element
-        assert element.inverse_matrix == me.element.inverse_matrix
+        # w^{-1}(alpha_0), ..., w^{-1}(alpha_n) determine w^{-1}, and so w
+        inverse = me.element.inverse().simple_images()
+        assert images == tuple((*v.finite, v.level) for v in inverse)
         assert types[ideal.mask] == generator_edge_types(me)
+
+
+# sha256 of repr(sorted(generator_types(batch).items())) over each system's
+# full ideal lattice: the whole typing table, not only its counts
+TYPE_TABLE_SHA256 = {
+    "A1": "2e19b3414406c4e5c0ba7010d8fca3d76a57210b6b44753a7cac11d464ca6d09",
+    "A2": "99725575d201df229d2663f886ea1d88ed96baaf4ee400b36f4cb049403b4482",
+    "A3": "9f6eeca9d934d8cd0c7a328985fd1d095b4e9dd9dff5eea6156ca1424edb3c55",
+    "A4": "57d2ea3e2faad3c6d0508e02224e87072935f0b3540af3d14ff9f34034a1b9d5",
+    "A5": "9d8d82ecb7211b9f1c8089a0e246b2266328755f1dfce950ed7d7e6c8c39cbfe",
+    "A6": "e702cca9c937593b9bc2f6bff7cacbd61f5d42bc9e9cd4f4d4a5d18e2502f96d",
+    "B2": "0a53d9cc72f654575cff8c533317dc1a5cbcb0acb7f2b57d7caaf91cc8bbf190",
+    "B3": "0bcd1d66b439fa871a329339e6b65196588f6b5605b51ae947536e231b8d1ea3",
+    "B4": "a57d59e3f97020341b9f979b2d1bd826e1f1993d4608f8bf0259c0cc2e616a4d",
+    "B5": "71fb2abb3af8a4a915b19ccc9c99e583308efe94db6494babe3fcce2053aef09",
+    "B6": "34dc737c753e45b17e4b7ac214b96489f07424d4dd1d1e63dad01b32983e74a3",
+    "C2": "9a3aa9da546c30eb36a61f49e3aee787b0e3128accb56b0db6da46b1adca3390",
+    "C3": "6ae608a45ee66a7556431695291c607570d1e35660270b38f7c7be602746bbc9",
+    "C4": "daf04fa7979330d743f3fc6f6977b3b588cb10af462cce4d1f2015bdb146a5bc",
+    "C5": "e1631f5e1bc86f09a8369b8956526dc7e2b690be979aaf7f8b03c4affa5626d1",
+    "C6": "247afa5318f10640649b6df15f6cf51505d0452fc0914fad886f13e8dc5b4deb",
+    "D3": "579415f9337b236bc6babf82486296313b2453768aff4b2ced81065af4f8f3ce",
+    "D4": "800f9fcd12c4c31aa8f4338e6915bef0e65847647c0f158e72d007f6df8272ca",
+    "D5": "83f8bcb266bc3b04c99148104acd4b9e8a82e0a554b4f978243d68dc6b5dfd2f",
+    "D6": "588b1cc462d6d9c535b931cc86f3ab4c711db49c4a78cfed9dbf4b0c48a09124",
+    "E6": "c9c69cf833cde5db1cf94d415dc6278973e4191d4ac1162ed4e71a1945854319",
+    "F4": "8f303ac4b99fd775525682220b3dd7ae83bb106d5017824e85be93d91d68aaac",
+    "G2": "8d9c2031c95f0ccebe32ac00c8365be9a189671626dd969c54bcd20a6d4b41ee",
+}
+
+
+@pytest.mark.parametrize("name", RANK_6_IDS)
+def test_type_table_is_pinned(name):
+    table = generator_types(enumerate_upper_ideals(root_system(name)))
+    digest = hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+    assert digest == TYPE_TABLE_SHA256[name]
+
+
+def test_typing_refuses_an_image_set_without_the_generator(monkeypatch):
+    # the identity's images are the affine simple roots: no gamma - delta among them
+    rs = root_system("B3")
+    identity = _kernels.peel_tables(rs).simples
+    monkeypatch.setattr(ideals, "lattice_images", lambda batch: ((i, identity) for i in batch))
+    generator_types.cache_clear()
+    try:
+        with pytest.raises(RootSystemError, match="no w\\^-1 image of an affine simple root"):
+            generator_types(enumerate_upper_ideals(rs))
+    finally:
+        generator_types.cache_clear()
 
 
 def test_lattice_refuses_a_batch_without_a_parent():

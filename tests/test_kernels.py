@@ -65,14 +65,15 @@ def test_peel_matches_reference_word(fmt, small_system):
         peeled = _kernels.peel(as_format(rows, fmt), tables)
         reference = word_from_inversion_set(rs, [AffineRoot(r[:-1], r[-1]) for r in rows])
         assert peeled.word == reference
-        # the independent oracle: the built element has exactly these inversions
-        element = AffineWeylElement(rs, peeled.matrix, peeled.inverse)
+        # the independent oracle: the element of the word has exactly these inversions
+        element = AffineWeylElement(rs, _kernels.word_matrix(peeled.word, tables), peeled.inverse)
         inv = element.inversion_set()
         assert len(inv) == len(rows)
         assert {tuple(ar.finite) + (ar.level,) for ar in inv} == set(rows)
         # the tracked images w^{-1}(alpha_i) agree with a rebuild from the word
         rebuilt = AffineWeylElement.from_word(rs, peeled.word)
         assert rebuilt == element
+        assert rebuilt.inverse_matrix == peeled.inverse
         for a in simples:
             assert element.inverse().act(a) == rebuilt.inverse().act(a)
             assert element.act(element.inverse().act(a)) == a
@@ -127,7 +128,12 @@ def test_resumed_peel_extends_the_parent_element():
         resumed = _kernels.peel(rows, tables, start)
         full = _kernels.peel(target_inversion_rows(ideal), tables)
         assert len(resumed.word) == len(rows)
-        assert (resumed.matrix, resumed.images) == (full.matrix, full.images)
+        # the images determine the element; u * w_P is w_I
+        assert resumed.images == full.images
+        parent_word = start.word if start else ()
+        assert _kernels.word_matrix(resumed.word + parent_word, tables) == _kernels.word_matrix(
+            full.word, tables
+        )
 
 
 def test_resumed_peel_rejects_a_row_already_inverted():

@@ -131,3 +131,23 @@ def test_a_missing_edge_fails_the_e6_minuscule_line(monkeypatch, capsys, fresh_c
     lines = capsys.readouterr().out.splitlines()
     assert code == 1
     assert failed_with_prefix(lines, "weights: E6 minuscule 27: 36 edges, 6 per type (")
+
+
+def test_rotated_lattice_types_fail_the_abelian_typing_lines(monkeypatch, capsys, fresh_caches):
+    generator_types = ideals.generator_types
+
+    def rotated(batch):
+        size = batch[0].rs.rank + 1
+        return {
+            mask: {gamma: (t + 1) % size for gamma, t in types.items()}
+            for mask, types in generator_types(batch).items()
+        }
+
+    # abelian imports the typing by name; ideals reads its own global
+    monkeypatch.setattr(ideals, "generator_types", rotated)
+    monkeypatch.setattr(abelian, "generator_types", rotated)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert failed_with_prefix(lines, "abelian: C3: per-type edge counts ")
+    # G2 has no stored class table; F4 is the exceptional system that has one at rank 4
+    assert failed(lines, "abelian: F4: classes of all commutative roots match the stored table")
