@@ -16,7 +16,7 @@ from .abelian import (
     long_abelian_ideals,
     suter_tau,
 )
-from .affine import AffineRoot, AffineWeylElement, Wall, fundamental_alcove_walls
+from .affine import AffineRoot, AffineWeylElement, Wall
 from .ideals import (
     IdealEdge,
     MinimalElement,
@@ -79,7 +79,6 @@ __all__ = [
     "export_dot",
     "format_report",
     "full_ideal",
-    "fundamental_alcove_walls",
     "ideal_from_roots",
     "long_abelian_ideals",
     "minimal_element",

@@ -3,8 +3,8 @@
 An affine root is a pair (finite part, level) standing for ``mu + level*delta``
 with ``mu`` in simple-root coordinates.  The affine Weyl group acts linearly
 on these integer coordinates, so an element is one integer (n+1)x(n+1)
-matrix, stored with its inverse; products, inverses and the images of the
-affine simple roots and of the alcove walls (`simple_images`) are integer
+matrix, stored with its inverse; inverses and the images of the affine
+simple roots and of the alcove walls (`simple_images`) are integer
 computations.  Only points of the ambient space (`act_point`, alcove
 vertices), the Cartan inverse and the coweights they are built from have
 rational coordinates; this is the one module of the package that uses
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
 from operator import mul
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import _kernels
 from ._kernels import Matrix
@@ -83,11 +83,6 @@ def fundamental_coweights(rs: RootSystem) -> tuple[Vector, ...]:
     )
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 @dataclass(frozen=True)
 class AffineWeylElement:
     """w as an integer matrix on affine-root coordinates (mu..., level).
@@ -109,10 +104,6 @@ class AffineWeylElement:
         return AffineWeylElement(rs, eye, eye)
 
     @staticmethod
-    def simple_reflection(rs: RootSystem, i: int) -> "AffineWeylElement":
-        return AffineWeylElement.from_word(rs, (i,))
-
-    @staticmethod
     def from_word(rs: RootSystem, word: Sequence[int]) -> "AffineWeylElement":
         """s_word, with its inverse s_(reversed word)."""
         for i in word:
@@ -124,15 +115,6 @@ class AffineWeylElement:
         )
 
     # -- group structure ------------------------------------------------------
-
-    def __mul__(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        if self.rs is not other.rs:
-            raise RootSystemError("cannot compose elements of different systems")
-        return AffineWeylElement(
-            self.rs,
-            _mat_mul(self.matrix, other.matrix),
-            _mat_mul(other.inverse_matrix, self.inverse_matrix),
-        )
 
     def inverse(self) -> "AffineWeylElement":
         return AffineWeylElement(self.rs, self.inverse_matrix, self.matrix)
@@ -169,57 +151,11 @@ class AffineWeylElement:
             zero = [z - t * c for z, c in zip(zero, column)]
         return tuple(AffineRoot(tuple(v[:-1]), v[-1]) for v in (zero, *columns))
 
-    # -- inversions and descents -----------------------------------------------
-
-    def inversion_set(self) -> list[AffineRoot]:
-        """All positive affine roots sent to negative ones."""
-        rs = self.rs
-        out = []
-        for mu in rs.all_roots():
-            # w(mu + k*delta) = w(mu) + k*delta is negative for k <= top
-            image = self.act(AffineRoot(mu, 0))
-            top = -image.level - rs.is_positive_root(image.finite)
-            first = 0 if rs.is_positive_root(mu) else 1
-            out.extend(AffineRoot(mu, k) for k in range(first, top + 1))
-        out.sort(key=lambda ar: (ar.level, ar.finite))
-        return out
+    # -- descents ----------------------------------------------------------------
 
     def right_descents(self) -> set[int]:
         """{i : l(w s_i) < l(w)}, i.e. simple affine roots made negative by w."""
         return {i for i, a in enumerate(self.simple_images()) if not is_positive_affine(a)}
-
-
-def word_from_inversion_set(
-    rs: RootSystem, roots: Iterable[AffineRoot]
-) -> tuple[int, ...]:
-    """Recover a reduced word for the element whose inversion set is given.
-
-    Peels one simple affine root per step (preferring index 0), reflecting the
-    remainder; the letters are collected in peel order and reversed, so the
-    first peeled generator becomes the final letter of the word.  Raises if
-    the set is not an inversion set.  It reflects the whole remaining set at
-    every step, so it is slow; the tests keep it as the reference for
-    `_kernels.peel`, which finds the same word without transforming the set.
-    """
-    simples = affine_simple_roots(rs)
-    gens = [AffineWeylElement.simple_reflection(rs, i) for i in range(rs.rank + 1)]
-    root_list = list(roots)
-    active = set(root_list)
-    if len(active) != len(root_list):
-        raise RootSystemError("inversion set contains duplicates")
-    peeled: list[int] = []
-    while active:
-        for i, a in enumerate(simples):
-            if a in active:
-                break
-        else:
-            raise RootSystemError("not an inversion set: no simple affine root present")
-        active.discard(simples[i])
-        active = {gens[i].act(ar) for ar in active}
-        if any(not is_positive_affine(ar) for ar in active):
-            raise RootSystemError("not an inversion set: reflection produced a negative root")
-        peeled.append(i)
-    return tuple(reversed(peeled))
 
 
 # -- alcove geometry ------------------------------------------------------------
@@ -240,14 +176,6 @@ class Wall(NamedTuple):
 
     def evaluate(self, rs: RootSystem, x: Sequence[Q]) -> Q:
         return Q(rs.form(x, self.normal), rs.form_denominator) - self.offset
-
-
-def fundamental_alcove_walls(rs: RootSystem) -> tuple[Wall, ...]:
-    """Wall 0 is (theta, 1); wall i >= 1 is (alpha_i, 0)."""
-    walls = [Wall(rs.theta, 1)]
-    for i in range(rs.rank):
-        walls.append(Wall(tuple(1 if j == i else 0 for j in range(rs.rank)), 0))
-    return tuple(walls)
 
 
 @lru_cache(maxsize=None)

@@ -22,8 +22,7 @@ EXPORT_KINDS = ("delta", "ad", "ab")
 
 
 def _resolve_system(type_str: str, rank: int | None) -> RootSystem:
-    name = type_str if rank is None else f"{type_str}{rank}"
-    return root_system(name)
+    return root_system(type_str, rank)
 
 
 def _coeff_str(root) -> str:

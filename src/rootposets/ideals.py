@@ -191,8 +191,11 @@ def ideal_from_roots(rs: RootSystem, roots: Sequence[Root]) -> UpperIdeal:
 
 
 def principal_ideal(rs: RootSystem, gamma: Root) -> UpperIdeal:
+    index = rs.root_index.get(gamma)
+    if index is None:
+        raise RootSystemError(f"{gamma} is not a positive root")
     up, _ = _order_masks(rs)
-    return UpperIdeal(rs, up[rs.root_index[gamma]], (gamma,))
+    return UpperIdeal(rs, up[index], (gamma,))
 
 
 def full_ideal(rs: RootSystem) -> UpperIdeal:

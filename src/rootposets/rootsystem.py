@@ -256,9 +256,6 @@ class RootSystem:
     def is_positive_root(self, x: Sequence) -> bool:
         return tuple(x) in self.root_index
 
-    def all_roots(self) -> list[Root]:
-        return list(self.positive_roots) + [tuple(-c for c in r) for r in self.positive_roots]
-
     # -- order and ideals helpers ------------------------------------------
 
     def root_leq(self, beta: Root, gamma: Root) -> bool:

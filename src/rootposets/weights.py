@@ -49,18 +49,6 @@ def root_to_weight_coords(rs: RootSystem, root: Root) -> Weight:
     return tuple(sum(map(mul, row, root)) for row in rs.cartan)
 
 
-def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
-    """The unique dominant weight in the Weyl orbit."""
-    w = weight
-    while True:
-        neg = next((i for i, c in enumerate(w) if c < 0), None)
-        if neg is None:
-            return w
-        alpha = _alpha_in_weight_coords(rs, neg)
-        c = w[neg]
-        w = tuple(x - c * a for x, a in zip(w, alpha))
-
-
 def weyl_dimension(rs: RootSystem, highest: Weight) -> int:
     """Weyl dimension formula, exact."""
     rho = (1,) * rs.rank
@@ -150,9 +138,9 @@ def _saturate(rs: RootSystem, highest: Weight) -> dict[Weight, Root]:
 def _dominant_map(rs: RootSystem, below: dict[Weight, Root]) -> dict[Weight, Weight]:
     """{weight: its dominant representative} for every weight of `below`.
 
-    The rule of `dominant_representative` (reflect at the first negative
-    coordinate), with every weight on a path memoized: `below` is W-stable, so
-    each path stays inside it and every weight is reflected at most once.
+    Reflect at the first negative coordinate until none is left, with every
+    weight on a path memoized: `below` is W-stable, so each path stays inside
+    it and every weight is reflected at most once.
     """
     alphas = [_alpha_in_weight_coords(rs, i) for i in range(rs.rank)]
     dom: dict[Weight, Weight] = {}

