@@ -20,8 +20,8 @@ from typing import Iterable, NamedTuple
 
 from .ideals import (
     UpperIdeal,
+    _above,
     _antichain_ideals,
-    _bits,
     _order_masks,
     _sums_with,
     generator_count_polynomial,
@@ -47,11 +47,20 @@ def _appendix_classes() -> dict:
 
 @lru_cache(maxsize=None)
 def enumerate_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
-    """All Abelian upper ideals (count 2^rank), via pruned antichain search."""
-    sums = _sums_with(rs)
+    """All Abelian upper ideals (count 2^rank), via pruned antichain search.
 
-    def stays_abelian(mask: int, new_mask: int) -> bool:
-        return not any(sums[j] & new_mask for j in _bits(new_mask & ~mask))
+    The clash mask of a root gamma holds every root that sums to a root with
+    some root above gamma.  An Abelian ideal I stays Abelian when gamma's
+    principal ideal U is added iff I | U misses gamma's clash mask: every new
+    root lies in U.  `admit(mask, up)` receives U, so each step is one lookup
+    and one AND, and the search blocks from the start every root whose
+    principal ideal is not Abelian.
+    """
+    up, _ = _order_masks(rs)
+    clash = dict(zip(up, _above(rs, _sums_with(rs))))
+
+    def stays_abelian(mask: int, up: int) -> bool:
+        return not clash[up] & (mask | up)
 
     out = _antichain_ideals(rs, stays_abelian)
     if len(out) != 2**rs.rank:

@@ -31,9 +31,18 @@ element `minimal_element` builds, and the type t of gamma, the t with
 w^{-1}(alpha_t) = gamma - delta, is one lookup: no matrix is formed.  The
 Abelian ideals (`abelian`) share the antichain search and the typing.
 
+Both lattices come from one antichain search (`_antichain_ideals`).  It
+adds roots in increasing tuple order, so each generator tuple is built
+sorted and the depth-first preorder is generator order; a stable pass into
+buckets by size then gives the (size, generators) order that `sample_ideals`'
+seeded draw and the DOT node numbers of `export` read, with no sort.  The
+Abelian search prunes through `admit(mask, up)`, one AND per step against
+the clash mask of the added root.
+
 The per-system tables are bit masks over the root indices: the order is
 built along the covers, and the sum table from integer root keys that add
-without carries (`_root_keys`).
+without carries (`_root_keys`).  The search's own table (`_search_slots`)
+holds the comparability masks over the tuple-ordered slots instead.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain
 from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -119,27 +129,63 @@ def _root_keys(rs: RootSystem) -> tuple[tuple[int, ...], dict[int, int], tuple[i
 
 
 @lru_cache(maxsize=None)
-def _order_masks(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(up, comp): up[i] = indices above root i; comp[i] = indices comparable to i.
-
-    beta is covered by exactly the roots beta + alpha_k, and every root above
-    beta is reached along covers, so `up` is one pass from the highest root
-    down and the roots below one pass up (the roots are sorted by height).
-    """
+def _covers(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """covers[i] = indices of the roots covering root i, the roots pos[i] + alpha_k."""
     keys, index, steps = _root_keys(rs)
-    m = len(keys)
-    covers = [[index[c] for s in steps if (c := key + s) in index] for key in keys]
-    up = [0] * m
-    for i in reversed(range(m)):
-        mask = 1 << i
+    return tuple(tuple(index[c] for s in steps if (c := key + s) in index) for key in keys)
+
+
+def _above(rs: RootSystem, seed: Sequence[int]) -> list[int]:
+    """For each root, the OR of `seed` over the roots at or above it.
+
+    Every root above beta is reached along the covers beta < beta + alpha_k,
+    so this is one pass from the highest root down (the roots are sorted by
+    height).
+    """
+    covers = _covers(rs)
+    out = list(seed)
+    for i in reversed(range(len(out))):
         for j in covers[i]:
-            mask |= up[j]
-        up[i] = mask
-    down = [1 << i for i in range(m)]
-    for i in range(m):
-        for j in covers[i]:
+            out[i] |= out[j]
+    return out
+
+
+def _comparable(rs: RootSystem, bit: Sequence[int]) -> tuple[list[int], list[int]]:
+    """(up, comp) with root j at bit position bit[j]: up[i] holds the roots at or
+    above root i, comp[i] every root comparable to it."""
+    up = _above(rs, [1 << b for b in bit])
+    down = [1 << b for b in bit]
+    for i, cover in enumerate(_covers(rs)):
+        for j in cover:
             down[j] |= down[i]
-    return tuple(up), tuple(u | d for u, d in zip(up, down))
+    return up, [u | d for u, d in zip(up, down)]
+
+
+@lru_cache(maxsize=None)
+def _order_masks(rs: RootSystem) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(up, comp) over the root indices: up[i] = indices above root i; comp[i] =
+    indices comparable to i."""
+    up, comp = _comparable(rs, range(len(rs.positive_roots)))
+    return tuple(up), tuple(comp)
+
+
+@lru_cache(maxsize=None)
+def _search_slots(rs: RootSystem) -> tuple[tuple[Root, int, int], ...]:
+    """The antichain search's table: the positive roots in increasing tuple
+    order, one slot each, as (root, up, comp).
+
+    up is the root's principal ideal over the root indices, the mask of an
+    `UpperIdeal`; comp is the set of comparable roots over the slots, the
+    mask the search blocks when it adds the root.
+    """
+    pos = rs.positive_roots
+    order = sorted(range(len(pos)), key=pos.__getitem__)
+    slot = [0] * len(pos)
+    for s, i in enumerate(order):
+        slot[i] = s
+    up, _ = _order_masks(rs)
+    _, comp = _comparable(rs, slot)
+    return tuple((pos[i], up[i], comp[i]) for i in order)
 
 
 @lru_cache(maxsize=None)
@@ -207,28 +253,39 @@ def _antichain_ideals(
 ) -> tuple[UpperIdeal, ...]:
     """Upper ideals by antichain search, sorted by size then generators.
 
-    Generators are added in index order; `admit(mask, new_mask)` may refuse
-    the step from one ideal to the next, which prunes every ideal above it.
-    """
-    pos = rs.positive_roots
-    up, comp = _order_masks(rs)
-    m = len(pos)
-    out: list[UpperIdeal] = []
+    Generators are added in increasing tuple order (`_search_slots`), so each
+    generator tuple is built sorted and the depth-first preorder visits the
+    ideals in generator order; appending each to the bucket of its size sorts
+    by size and keeps that order within a size, with no comparison sort.
 
-    def descend(start: int, gens: tuple[int, ...], mask: int, blocked: int) -> None:
-        out.append(UpperIdeal(rs, mask, tuple(sorted(pos[g] for g in gens))))
+    `admit(mask, up)` may refuse the step from the ideal `mask` to `mask | up`,
+    where up is the principal ideal of the added root.  It must decide a
+    property that every sub-ideal inherits: a refused step prunes every ideal
+    above it, and a root whose principal ideal is refused (`admit(0, up)`) is
+    blocked from the start.
+    """
+    slots = _search_slots(rs)
+    m = len(slots)
+    by_size: list[list[UpperIdeal]] = [[] for _ in range(m + 1)]
+
+    def descend(start: int, gens: tuple[Root, ...], mask: int, blocked: int) -> None:
+        by_size[mask.bit_count()].append(UpperIdeal(rs, mask, gens))
         free = ~blocked & ((1 << m) - (1 << start))
         while free:
             low = free & -free
             free ^= low
-            i = low.bit_length() - 1
-            new_mask = mask | up[i]
-            if admit is None or admit(mask, new_mask):
-                descend(i + 1, gens + (i,), new_mask, blocked | comp[i])
+            s = low.bit_length() - 1
+            root, up, comp = slots[s]
+            if admit is None or admit(mask, up):
+                descend(s + 1, gens + (root,), mask | up, blocked | comp)
 
-    descend(0, (), 0, 0)
-    out.sort(key=lambda ideal: (len(ideal), ideal.generators))
-    return tuple(out)
+    refused = 0
+    if admit is not None:
+        for s, (_, up, _) in enumerate(slots):
+            if not admit(0, up):
+                refused |= 1 << s
+    descend(0, (), 0, refused)
+    return tuple(chain.from_iterable(by_size))
 
 
 @lru_cache(maxsize=None)

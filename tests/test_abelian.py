@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from rootposets import _kernels, abelian, verify
+from rootposets import _kernels, abelian, ideals, verify
 from rootposets.abelian import (
     ab_covering_polynomial,
     boolean_lattice_covering_polynomial,
@@ -29,6 +29,7 @@ from rootposets.abelian import (
 )
 from rootposets.affine import fundamental_alcove_vertices
 from rootposets.ideals import (
+    enumerate_upper_ideals,
     generator_edge_types,
     generator_types,
     ideal_from_mask,
@@ -50,6 +51,28 @@ def test_abelian_counts_are_powers_of_two(small_system):
     assert len(ideals) == 2**small_system.rank
     for ideal in ideals:
         assert ideal.is_abelian()
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_abelian_search_equals_the_definition(name):
+    # the search prunes with clash masks built from _sums_with along the
+    # covers; is_abelian reads _sums_with root by root.  Uncached, so that a
+    # damaged clash table reaches the search.
+    rs = root_system(name)
+    by_definition = tuple(ideal for ideal in enumerate_upper_ideals(rs) if ideal.is_abelian())
+    assert enumerate_abelian_ideals.__wrapped__(rs) == by_definition
+
+
+def test_a_clash_table_without_one_roots_sums_fails_the_definition(monkeypatch):
+    # In D4, (1,1,0,0) + (0,1,1,1) = theta, and no root above (1,1,0,0) sums
+    # with (0,1,1,1), which the search adds first.  Without the row of
+    # (1,1,0,0), the ideal they generate passes the search: one too many.
+    rs = root_system("D4")
+    sums = list(ideals._sums_with(rs))
+    sums[rs.root_index[(1, 1, 0, 0)]] = 0
+    monkeypatch.setattr(abelian, "_sums_with", lambda rs: tuple(sums))
+    with pytest.raises(RootSystemError, match="found 17 Abelian ideals"):
+        test_abelian_search_equals_the_definition("D4")
 
 
 def test_abelian_edge_counts(small_system):

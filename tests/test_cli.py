@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,9 @@ from rootposets.cli import main
 
 REPORTS = ("roots", "hasse", "ideals", "abelian", "classes", "covering")
 FORMATS = ("text", "json", "csv")
+# stdout sha256 of the E7 lattice commands; the CI package job checks the
+# installed CLI against the same file
+STDOUT_SHA256 = json.loads((Path(__file__).parent / "cli_stdout_sha256.json").read_text())["cli"]
 
 
 def run(capsys, *argv):
@@ -101,6 +106,15 @@ def test_export_ad_e7_has_every_typed_edge(capsys):
     assert out.count("[label=") == 4160
     assert out.count(" -> ") == 14560
     assert [out.count(f'[type="{i}"') for i in range(8)] == E7_TYPE_COUNTS
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_SHA256))
+def test_e7_lattice_stdout_is_pinned(capsys, command):
+    # byte for byte, not only the counts: the export numbers its DOT nodes in
+    # enumeration order
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_SHA256[command]
 
 
 @pytest.mark.parametrize("argv", (["report", "--what", "ideals"], ["export", "--what", "ad"]))

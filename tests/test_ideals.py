@@ -4,6 +4,7 @@ from itertools import zip_longest
 import pytest
 
 from rootposets import _kernels, ideals, verify
+from rootposets.abelian import enumerate_abelian_ideals
 from rootposets.affine import AffineWeylElement, affine_simple_roots, cartan_inverse
 from rootposets.ideals import (
     MinimalElement,
@@ -60,6 +61,98 @@ def test_enumeration_is_sorted_and_distinct(small_system):
     assert len(masks) == len(ideals)
     sizes = [len(ideal) for ideal in ideals]
     assert sizes == sorted(sizes)
+
+
+# sha256 of repr([(I.mask, I.generators) for I in batch]) for the full and the
+# Abelian lattice of each system, recorded from a search that sorted its
+# output by (size, generators), so the pins do not take their order from the
+# search they check.  `sample_ideals`' seeded draw and the DOT node numbers of
+# `export` read this order.
+ORDER_SHA256 = {
+    "upper": {
+        "A1": "2dd5410eb446e36006fbbf1a8ca3d4df46e6018a5af3539ff27f78fa173c44b2",
+        "A2": "0f4c235457a58bf85597af4568bf6d1ece2cfc6544dc4ec82ea8c0f830863992",
+        "A3": "e7176a1a20a44b81d26f99557a7f0f8fc6cb9e6f036190945f2cf377f208889d",
+        "A4": "58cf9ac68c69cbdf1cc61993eac8d06a8522b8897c695ff8424c8b5722fa43fb",
+        "A5": "8b28221a1e19f28b095e6b95954a821295a098f1ceeef597a875d26466f7a06a",
+        "A6": "29f81afb4ebac593fb4070b03941ecfe4ac13c4946109efd311f798af8fb0674",
+        "A7": "ab52f17083e304ce452a01c5e0b5ef006db056a493f35d818373cdb509e54e37",
+        "A8": "bf861c939ab2f55f99a701d0b0cecadf2f7c6619e189d5f2b8f8c68afff10b16",
+        "B2": "5604ba280731a5afefe54d1c4b9a1945f9e632154bc3aff83a248c247e4ec4a1",
+        "B3": "4057582c13188935db003bca4c0a0d31cc678d8c0747d717588e9a430cd124d9",
+        "B4": "8d6dea8cc7cf9019532a01c0fbf18a3697faccc4db5a72adaaa9b230ef941f41",
+        "B5": "aa83d189b0a7c971353737db42e6b09b0afc4bfbf35a0cf23bf5f6fe303dc2b1",
+        "B6": "ade6506c3d21e169492c1698505b860a733b5194e6205c7702de8fb1b7eb3027",
+        "B7": "807cef36d8350065f6333feb16333babe7553303ae682ea7790f63b08822d4da",
+        "B8": "7b04f1e91f71c6b6656478fa1bc957b5b8ed075dfda1e4f58b7cb94ab2ba0528",
+        "C2": "29c19ef9804aeee9a009e0cd10629697808ad1b648eaa1dfb1f83778e987d049",
+        "C3": "0eece7411733e8b7035e88fd736c0460070da2de0f13b96542cebc36f06ff983",
+        "C4": "920491b785e7b0345e88a8c64c6079c0c5354a4cb8a86b5c08911b3a5b88ddb1",
+        "C5": "f5e74ff023676bc51467fccfa6c23a2d59820d49a2e1e52af452e3afdbeb9071",
+        "C6": "6c41cb8ff7dd139785104997acaf9d7c8c5328d44d520498a6782bb270b7e09b",
+        "C7": "e8c9bac68e244b054b70b38d50d3736d59ee1b12f89c397db2e383efce19a1b5",
+        "C8": "0302aca196d983ce3ac6fc37cbb8c93c864b9a2aa282dfd48ab84efe3fa98e46",
+        "D3": "0a8bdbf82b69758f8c04cba178381155ecb3f4f92645c2242c5e4603ea3b1309",
+        "D4": "d10a81ec2b3f3ef151b941df1f2d1376324a29a8114e84355ca254c1107f29c1",
+        "D5": "82ce20e8d08c9031d22f0d061b40fb6c5ca50b26dda82cad28f03af4233dcd23",
+        "D6": "a514a60c5aa5498a0dd1afde2cd70501547ae0655f1d07e84cef079913a6ba21",
+        "D7": "2803ac5c1e4b84086fbe8fef99a447f9dd979b5207c0af9db925a5e2cd2ad90b",
+        "D8": "08d9f608e08943917b99519c64c8caa32445ef6104d8631319ef7a5831ece77f",
+        "E6": "842fccfc3ee0f954810a7ae272128a6a571a2cafe49ecdc912d881fa82db2d36",
+        "E7": "6d96e720eff3a8078ce7f975b4bae50898ac538288976b253f3f5d0730b1a3ac",
+        "E8": "15a7109274333580335bfe062f6de8e6220018c8227d2f5cc5af634a319d38db",
+        "F4": "51d00ce27cbff327721e56d75449e56b53dc481f40e5c1c3300995e445ea6b7e",
+        "G2": "18c3629d42cce0d79ece6810bbbb0173830a03a0251ade725265950d0ee5aca4",
+    },
+    "abelian": {
+        "A1": "2dd5410eb446e36006fbbf1a8ca3d4df46e6018a5af3539ff27f78fa173c44b2",
+        "A2": "82c51b5c0ee4f5978af0cb32b0943b8f7ef6167b576e02b3439c377c42f3af63",
+        "A3": "914c57c78672312747449d42631b814177127cf342ae9afea1db4d61a602c27e",
+        "A4": "f504655742cac8fc1e8b0b818c306d93f8039d6012bab08730895507c7ed1b5d",
+        "A5": "45ea272226569fb0cd23caea14dfa1f36c8533250e1937a3b2cbcf55843cb614",
+        "A6": "fa00a8d9a3c249a761266c49a84a0b419d57b82d6d54789b81f121081120a594",
+        "A7": "650b24aec4c22d9806596ec895042acb970d51c4b0b0cd0b6849470088ed98c0",
+        "A8": "bc0a950112bfb3b1ebbc4b9e8b59317a8e9214449424a729a495b53d792d3f02",
+        "B2": "d7feedf3a0265183c0c2516748863288aaf0b0eb2fed4ae487649a174e1f2ab5",
+        "B3": "3465115dea845796aa5c773cd8dbe41d011f3df1bed6248418919d8bfa842ab9",
+        "B4": "27f2f4cd5be8410e2cd62119542882970b63aab7231030a104bc958dca823520",
+        "B5": "cd946dc0199978f86184304dd5694ef5df0ebbea6d8953a17565996baaf79f86",
+        "B6": "d39c10ab46650db7f6d8a7700d441a06f68397b90a6d10a84ce33206e8c2f178",
+        "B7": "0d54ef2bab1a34e2fe8e3819f61ab3782d84f1f5eb8f278291ef8685c59dd56e",
+        "B8": "edb77e24041b5e2aa4d9a2be4fd97ef7e75dfa8e9915aaf9253bb7f73ae728a5",
+        "C2": "8b00c9c1a9c09f34f9b1f4ea0850e49c5ae327fd8bd70215ac4f42a1dafb3ed1",
+        "C3": "bbabf29b0b16220756f2532adc022e6f5d4a91423c7b418757299da707eab62d",
+        "C4": "66d3d750e8e6b3ec1b9a106fd195cdf0bc5431c5853d16390ba82b683fcd6181",
+        "C5": "dfbf4a126f4f254427f1aa883e9d501135aeb92f566fcf87edae339ccd60fc8e",
+        "C6": "10658e825b30bb0ac1d4ce5535d1ab1ef6c6b00f198b74e31b02169492d639f5",
+        "C7": "196868b91fb63d075e2fe9c0b05c6cbc3da09076716020e6da7f3baf0b872de0",
+        "C8": "f42ce84094cf56c8dceb396165fb0827f2585ebd3414a4c859d759f7bdb3b94a",
+        "D3": "9ac6dc287532f1cb31a97fc62f33fddb05de3be2e88c2c9fa9c75466b0e53ffe",
+        "D4": "c37e1de782ea4614068a22d69e314c87c5c13dfb4aa673c68e46bd4ea13fdbe0",
+        "D5": "6e2e937bcef03f01003b7b05bd841e68bf14b3ea75fb497f0822370c7f383086",
+        "D6": "9889cbe61b4e8bceabaa555ac9119a508b6ae00cbc1cdeb1ea068f450e159d6d",
+        "D7": "6227c7a619332d369f55363b90f33047ca9dc051a1e6f8956aea436a5740bcac",
+        "D8": "50fbd3f3d9c1962efff5ee471d0d353c77ea89ccad62e12e5d0c61206cd02236",
+        "E6": "62d9b3f0e2b33f7c75bd659d049f0f05674c01c4a9dd8c9d749499ba7a2ce77a",
+        "E7": "ae97b819fdc594ddd54bf268ad9a5a006ad852ce0c79ce591938810726b74753",
+        "E8": "6bf8ef38bb9221970dd6cc14f864d381bd63152eb4afc6cac168672f9e6b1154",
+        "F4": "1923c5b93f4198893127c079a3a43e2048fb9ea9e5494075118e4e7020572267",
+        "G2": "6dce70b2382ca25d38b700c95b5e3785aea000614788bf91a92c6767e4ed3fd2",
+    },
+}
+LATTICES = {"upper": enumerate_upper_ideals, "abelian": enumerate_abelian_ideals}
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+@pytest.mark.parametrize("lattice", sorted(LATTICES))
+def test_enumeration_order_is_pinned(lattice, name):
+    # the search sorts nothing: it adds roots in tuple order and buckets by size
+    batch = LATTICES[lattice](root_system(name))
+    assert list(batch) == sorted(batch, key=lambda ideal: (len(ideal), ideal.generators))
+    for ideal in batch:
+        assert all(a < b for a, b in zip(ideal.generators, ideal.generators[1:]))
+    text = repr([(ideal.mask, ideal.generators) for ideal in batch])
+    assert hashlib.sha256(text.encode()).hexdigest() == ORDER_SHA256[lattice][name]
 
 
 def test_generators_form_minimal_antichain(small_system):
