@@ -388,13 +388,12 @@ def suter_tau(ideal: UpperIdeal) -> UpperIdeal:
 
 @lru_cache(maxsize=None)
 def long_abelian_ideals(rs: RootSystem) -> tuple[UpperIdeal, ...]:
-    if all(rs.is_long(g) for g in rs.positive_roots):
+    """The Abelian ideals whose roots are all long: those that miss the mask of
+    short roots, built once per system."""
+    short = sum(1 << i for i, g in enumerate(rs.positive_roots) if not rs.is_long(g))
+    if not short:
         raise RootSystemError("long Abelian ideals are a non-simply-laced notion")
-    return tuple(
-        ideal
-        for ideal in enumerate_abelian_ideals(rs)
-        if all(rs.is_long(g) for g in ideal.roots())
-    )
+    return tuple(ideal for ideal in enumerate_abelian_ideals(rs) if not ideal.mask & short)
 
 
 def long_abelian_edge_type_counts(rs: RootSystem) -> list[int]:

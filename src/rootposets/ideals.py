@@ -28,8 +28,12 @@ powers too: I^k = P^k | (N_(k-1) + P) | (I^(k-1) + g) (`_cover_powers`), so
 no lattice ideal computes its `powers` from scratch.  A successful peel
 yields exactly the target inversion set, so the images are those of the
 element `minimal_element` builds, and the type t of gamma, the t with
-w^{-1}(alpha_t) = gamma - delta, is one lookup: no matrix is formed.  The
-Abelian ideals (`abelian`) share the antichain search and the typing.
+w^{-1}(alpha_t) = gamma - delta, is the position of gamma - delta among the
+n+1 images: no matrix is formed.  A batch holds one system, so the walk
+reads its tables (root index, peel tables, sum table, sums masks) once per
+batch and refuses a batch that mixes systems; the rows (-gamma, k) are built
+from the system's negated roots, cached once.  The Abelian ideals
+(`abelian`) share the antichain search and the typing.
 
 Both lattices come from one antichain search (`_antichain_ideals`).  It
 adds roots in increasing tuple order, so each generator tuple is built
@@ -190,10 +194,20 @@ def _search_slots(rs: RootSystem) -> tuple[tuple[Root, int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _sum_table(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """sum_table[i][j] = index of pos[i]+pos[j] among positive roots, or -1."""
+    """sum_table[i][j] = index of pos[i]+pos[j] among positive roots, or -1.
+
+    The table is symmetric: one pass over the pairs i <= j fills both halves.
+    """
     keys, index, _ = _root_keys(rs)
     get = index.get
-    return tuple(tuple([get(a + b, -1) for b in keys]) for a in keys)
+    table = [[-1] * len(keys) for _ in keys]
+    for i, a in enumerate(keys):
+        row = table[i]
+        for j in range(i, len(keys)):
+            k = get(a + keys[j])
+            if k is not None:
+                row[j] = table[j][i] = k
+    return tuple(map(tuple, table))
 
 
 @lru_cache(maxsize=None)
@@ -335,6 +349,12 @@ class MinimalElement(NamedTuple):
     word: tuple[int, ...]
 
 
+@lru_cache(maxsize=None)
+def _negated_roots(rs: RootSystem) -> tuple[Root, ...]:
+    """-gamma for each positive root gamma, in index order."""
+    return tuple(tuple(-c for c in root) for root in rs.positive_roots)
+
+
 def target_inversion_rows(
     ideal: UpperIdeal, powers: Sequence[int] | None = None
 ) -> list[tuple[int, ...]]:
@@ -344,9 +364,9 @@ def target_inversion_rows(
     the lattice walk passes the masks I^k minus P^k of a parent P, whose rows
     are the inversion set of w_I less that of w_P.
     """
-    pos = ideal.rs.positive_roots
+    negated = _negated_roots(ideal.rs)
     return [
-        (*(-c for c in pos[i]), k)
+        (*negated[i], k)
         for k, mask in enumerate(ideal.powers if powers is None else powers, start=1)
         for i in _bits(mask)
     ]
@@ -435,16 +455,19 @@ def generator_edge_types(me: MinimalElement) -> dict[Root, int]:
 
 
 def _cover_powers(
-    rs: RootSystem, parent_mask: int, parent_powers: Sequence[int], g: int
+    table: Sequence[Sequence[int]],
+    sums: Sequence[int],
+    parent_mask: int,
+    parent_powers: Sequence[int],
+    g: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Powers of I = P + {root g} and the new masks I^k minus P^k, from P's powers.
 
     I^k = (I^(k-1) + P) | (I^(k-1) + g), and with N_k = I^k minus P^k,
     I^(k-1) + P = P^k | (N_(k-1) + P).  So only the few new roots and g are
-    looked up in the sum table, not every root of I^(k-1).
+    looked up in the system's `_sum_table` and `_sums_with`, not every root
+    of I^(k-1).
     """
-    table = _sum_table(rs)
-    sums = _sums_with(rs)
     g_row, g_sums = table[g], sums[g]
     powers, news = [], []
     new = 1 << g
@@ -471,21 +494,27 @@ def lattice_images(batch: Iterable[UpperIdeal]) -> Iterator[tuple[UpperIdeal, _k
     The images resume the peel of w_P, P = I minus its first generator, with
     the rows of I that P lacks: one row when I is Abelian.  The powers of I
     come from P's along the cover (`_cover_powers`), so the walk reads no
-    `UpperIdeal.powers`.  Raises if a parent is missing from the batch.
+    `UpperIdeal.powers`.  The system's tables are read once per batch.
+    Raises if the batch mixes systems or a parent is missing from it.
     """
     ordered = sorted(batch, key=len)
-    parent_masks = {
-        ideal.mask: ideal.mask & ~(1 << ideal.rs.root_index[ideal.generators[0]])
-        for ideal in ordered
-        if ideal.generators
-    }
+    if not ordered:
+        return
+    rs = ordered[0].rs
+    root_index = rs.root_index
+    parent_masks = {}
+    for ideal in ordered:
+        if ideal.rs is not rs:
+            raise RootSystemError(f"the batch mixes ideals of {rs.id} and {ideal.rs.id}")
+        if ideal.generators:
+            parent_masks[ideal.mask] = ideal.mask & ~(1 << root_index[ideal.generators[0]])
+    tables = _kernels.peel_tables(rs)
+    table, sums = _sum_table(rs), _sums_with(rs)
     # a state is dropped after its last child is built: a walk over the
     # 25 080 E8 ideals then holds at most 403 states at once
     children = Counter(parent_masks.values())
     states: dict[int, tuple[tuple[int, ...], _kernels.Peeled]] = {}
     for ideal in ordered:
-        rs = ideal.rs
-        tables = _kernels.peel_tables(rs)
         parent_mask = parent_masks.get(ideal.mask)
         if parent_mask is None:
             powers: tuple[int, ...] = ()
@@ -500,8 +529,8 @@ def lattice_images(batch: Iterable[UpperIdeal]) -> Iterator[tuple[UpperIdeal, _k
             children[parent_mask] -= 1
             if not children[parent_mask]:
                 del states[parent_mask]
-            g = rs.root_index[ideal.generators[0]]
-            powers, new = _cover_powers(rs, parent_mask, parent_powers, g)
+            g = root_index[ideal.generators[0]]
+            powers, new = _cover_powers(table, sums, parent_mask, parent_powers, g)
             rows = target_inversion_rows(ideal, new)
             try:
                 peeled = _kernels.peel(rows, tables, start)
@@ -519,16 +548,17 @@ def generator_types(batch: tuple[UpperIdeal, ...]) -> dict[int, dict[Root, int]]
     The one typing of a lattice: cached per batch, which both enumerations
     return as cached tuples, so each lattice is walked once per process.  The
     cached dicts are shared: read them, do not mutate them.  Each type is the
-    t with w_I^{-1}(alpha_t) = gamma - delta among the images of
+    position t of gamma - delta = w_I^{-1}(alpha_t) among the n+1 images of
     `lattice_images`; `generator_edge_types` types by the matrix action.
+    Raises, as the walk does, if the batch mixes systems.
     """
     out = {}
     for ideal, images in lattice_images(batch):
-        index = {v: t for t, v in enumerate(images)}
         try:
-            out[ideal.mask] = {gamma: index[(*gamma, -1)] for gamma in ideal.generators}
-        except KeyError as exc:
-            raise RootSystemError(f"{exc} is no w^-1 image of an affine simple root") from None
+            out[ideal.mask] = {gamma: images.index((*gamma, -1)) for gamma in ideal.generators}
+        except ValueError:
+            missing = next((*g, -1) for g in ideal.generators if (*g, -1) not in images)
+            raise RootSystemError(f"{missing} is no w^-1 image of an affine simple root") from None
     return out
 
 

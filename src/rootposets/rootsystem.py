@@ -138,7 +138,8 @@ class RootSystem:
         self.simple_roots: tuple[Root, ...] = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
-        self.positive_roots = self._generate_positive_roots()
+        # root_pairings[k][j] = <positive_roots[k], alpha_j^vee>
+        self.positive_roots, self.root_pairings = self._generate_positive_roots()
         self.root_index = {r: k for k, r in enumerate(self.positive_roots)}
         if len(self.root_index) != len(self.positive_roots):
             raise RootSystemError("duplicate positive roots")
@@ -168,11 +169,13 @@ class RootSystem:
 
     # -- construction -----------------------------------------------------
 
-    def _generate_positive_roots(self) -> tuple[Root, ...]:
+    def _generate_positive_roots(self) -> tuple[tuple[Root, ...], tuple[tuple[int, ...], ...]]:
         """Closure of the simple roots under root strings, height by height.
 
         Each root carries its pairings (<beta, alpha_j^vee>)_j, so a step
         beta -> beta + alpha_i adds column i of the Cartan matrix to them.
+        Returns the roots sorted by height, then tuple, and their pairings
+        in the same order (`root_pairings`).
         """
         n = self.rank
         columns = [tuple(self.cartan[j][i] for j in range(n)) for i in range(n)]
@@ -199,7 +202,8 @@ class RootSystem:
                             found[cand] = tuple(map(add, pairings, columns[i]))
                             nxt.append(cand)
             layer = nxt
-        return tuple(sorted(found, key=lambda r: (sum(r), r)))
+        roots = tuple(sorted(found, key=lambda r: (sum(r), r)))
+        return roots, tuple(map(found.__getitem__, roots))
 
     def _exponents(self) -> tuple[int, ...]:
         """Exponents via the conjugate of the height partition of Δ⁺."""
@@ -214,7 +218,12 @@ class RootSystem:
         return exps
 
     def _dominant_short_root(self) -> Root:
-        shorts = [r for r in self.positive_roots if self.is_dominant(r) and not self.is_long(r)]
+        """The dominant short root, read from the carried pairings; theta when simply laced."""
+        shorts = [
+            r
+            for r, pairings in zip(self.positive_roots, self.root_pairings)
+            if min(pairings) >= 0 and not self.is_long(r)
+        ]
         if not shorts:  # simply laced: every root is long and theta_s = theta
             return self.theta
         if len(shorts) != 1:

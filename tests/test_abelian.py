@@ -401,6 +401,22 @@ def test_long_abelian_counts():
         assert count == expected_long_abelian_count(rs)
 
 
+NON_SIMPLY_LACED_IDS = [name for name in ALL_IDS if name[0] in "BCFG"]
+
+
+@pytest.mark.parametrize("name", NON_SIMPLY_LACED_IDS)
+def test_long_abelian_ideals_equal_the_definition(name):
+    # the library drops every ideal that meets one short-root mask; the
+    # definition asks is_long of every root of every Abelian ideal
+    rs = root_system(name)
+    want = tuple(
+        ideal
+        for ideal in enumerate_abelian_ideals(rs)
+        if all(rs.is_long(g) for g in ideal.roots())
+    )
+    assert long_abelian_ideals(rs) == want
+
+
 def test_long_abelian_rejects_simply_laced():
     with pytest.raises(RootSystemError):
         long_abelian_ideals(root_system("A3"))

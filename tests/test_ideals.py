@@ -319,7 +319,9 @@ def test_walk_powers_match_the_ideal_powers(name, monkeypatch):
     for ideal in batch[1:]:
         g = rs.root_index[ideal.generators[0]]
         parent = by_mask[ideal.mask & ~(1 << g)]
-        powers, new = ideals._cover_powers(rs, parent.mask, parent.powers, g)
+        powers, new = ideals._cover_powers(
+            ideals._sum_table(rs), ideals._sums_with(rs), parent.mask, parent.powers, g
+        )
         assert powers == ideal.powers
         want = tuple(a & ~b for a, b in zip_longest(ideal.powers, parent.powers, fillvalue=0))
         assert new == passed[ideal.mask] == want
@@ -579,6 +581,22 @@ def test_typing_refuses_an_image_set_without_the_generator(monkeypatch):
             generator_types(enumerate_upper_ideals(rs))
     finally:
         generator_types.cache_clear()
+
+
+@pytest.mark.parametrize("first, second", [("A2", "B2"), ("A3", "C3")])
+def test_lattice_refuses_a_batch_that_mixes_systems(first, second):
+    # the walk reads one system's tables per batch; a mixed batch is refused
+    # before any peel, naming both systems
+    batch = tuple(
+        ideal
+        for name in (first, second)
+        for ideal in enumerate_abelian_ideals(root_system(name))
+    )
+    message = f"mixes ideals of {first} and {second}"
+    with pytest.raises(RootSystemError, match=message):
+        generator_types(batch)
+    with pytest.raises(RootSystemError, match=message):
+        list(lattice_images(batch))
 
 
 def test_lattice_refuses_a_batch_without_a_parent():

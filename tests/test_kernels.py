@@ -5,6 +5,8 @@ from rootposets import _kernels
 from rootposets.affine import AffineRoot, AffineWeylElement, affine_simple_roots
 from rootposets.ideals import (
     _cover_powers,
+    _sum_table,
+    _sums_with,
     enumerate_upper_ideals,
     ideal_from_mask,
     sample_ideals,
@@ -118,7 +120,7 @@ def test_resumed_peel_extends_the_parent_element():
         parent = ideal_from_mask(rs, ideal.mask & ~(1 << g))
         start = _kernels.peel(target_inversion_rows(parent), tables) if len(parent) else None
         # the walk's new masks I^k minus P^k, from the parent's powers
-        _, new = _cover_powers(rs, parent.mask, parent.powers, g)
+        _, new = _cover_powers(_sum_table(rs), _sums_with(rs), parent.mask, parent.powers, g)
         rows = target_inversion_rows(ideal, new)
         assert set(rows) == set(target_inversion_rows(ideal)) - set(target_inversion_rows(parent))
         resumed = _kernels.peel(rows, tables, start)

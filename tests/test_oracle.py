@@ -81,7 +81,7 @@ for op, systems in ((workloads.edge_routes_op, ("E6",)), (workloads.ad_minimal_o
             except Exception as exc:
                 got = f"{type(exc).__name__}: {exc}"
             results.append((op.__name__, workloads.ideal_key(ideal), got))
-print(json.dumps({"results": results, "counts": tracer.counts}))
+print(json.dumps({"results": results, "counts": tracer.counts, "absent": tracer.absent}))
 """
 
 
@@ -90,7 +90,8 @@ def test_traced_ops_match_oracle():
 
     The tracer's counters read `args[0]` of `peel` and `minimal_element`,
     `args[1]` of `from_word` and `len()` of the rows; a call shape they cannot
-    read makes a traced run fail while an untraced one passes.
+    read makes a traced run fail while an untraced one passes.  Every traced
+    target must exist: a renamed one would only zero its per-layer metric.
     """
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
@@ -103,6 +104,7 @@ def test_traced_ops_match_oracle():
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
+    assert report["absent"] == {}
     assert len(report["results"]) == 36
     for op, key, got in report["results"]:
         assert got == ORACLE["ideals"][key], f"{op} {key}: {got}"

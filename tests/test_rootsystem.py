@@ -269,3 +269,16 @@ def reference_positive_roots(rs):
 def test_positive_roots_from_carried_pairings_match_the_reference(name):
     rs = root_system(name)
     assert rs.positive_roots == reference_positive_roots(rs)
+
+
+@pytest.mark.parametrize("name", ALL_IDS)
+def test_carried_pairings_and_the_dominant_short_root(name):
+    # the construction keeps each root's pairings and reads theta_s from
+    # them; the reference computes every pairing afresh
+    rs = root_system(name)
+    assert len(rs.root_pairings) == len(rs.positive_roots)
+    for root, pairings in zip(rs.positive_roots, rs.root_pairings):
+        assert pairings == tuple(rs.pairing(root, i) for i in range(rs.rank))
+    shorts = [r for r in rs.positive_roots if rs.is_dominant(r) and not rs.is_long(r)]
+    assert len(shorts) == (0 if name[0] in "ADE" else 1)
+    assert rs.theta_short == (shorts[0] if shorts else rs.theta)
