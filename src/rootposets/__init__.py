@@ -16,7 +16,7 @@ from .abelian import (
     long_abelian_ideals,
     suter_tau,
 )
-from .affine import AffineRoot, AffineWeylElement, Wall
+from .affine import AffineWeylElement, Wall
 from .ideals import (
     IdealEdge,
     MinimalElement,
@@ -52,7 +52,6 @@ from .weights import WeightSystem, weight_diagram_edges, weight_system, weyl_dim
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineRoot",
     "AffineWeylElement",
     "CheckResult",
     "CommutativeRoot",

@@ -1,14 +1,15 @@
-"""Affine Weyl group elements, affine roots, and alcove geometry.
+"""Affine Weyl group elements and alcove geometry.
 
-An affine root is a pair (finite part, level) standing for ``mu + level*delta``
-with ``mu`` in simple-root coordinates.  The affine Weyl group acts linearly
-on these integer coordinates, so an element is one integer (n+1)x(n+1)
-matrix, stored with its inverse; inverses and the images of the affine
-simple roots and of the alcove walls (`simple_images`) are integer
-computations.  Only points of the ambient space (`act_point`, alcove
-vertices), the Cartan inverse and the coweights they are built from have
-rational coordinates; this is the one module of the package that uses
-`Fraction`.
+An affine root mu + k*delta is the integer row (mu..., k) of `_kernels`,
+with ``mu`` in simple-root coordinates; its affine simple roots are
+`_kernels.peel_tables(rs).simples`.  The affine Weyl group acts linearly on
+these rows, so an element is one integer (n+1)x(n+1) matrix, stored with its
+inverse; `act`, inverses and the images of the affine simple roots
+(`simple_images`, whose zero sets are the images of the alcove walls) are
+integer computations on rows.  Only points of the ambient space
+(`act_point`, alcove vertices), the Cartan inverse and the coweights they
+are built from have rational coordinates; this is the one module of the
+package that uses `Fraction`.
 
 The fundamental alcove is the open simplex cut out by (x, alpha_i) > 0 and
 (x, theta) < 1; its vertices are 0 and the fundamental coweights divided by
@@ -30,24 +31,12 @@ from .rootsystem import Root, RootSystem, RootSystemError
 Vector = tuple[Q, ...]
 
 
-class AffineRoot(NamedTuple):
-    finite: Root
-    level: int
-
-
-def is_positive_affine(ar: AffineRoot) -> bool:
-    if ar.level != 0:
-        return ar.level > 0
-    return all(c >= 0 for c in ar.finite) and any(ar.finite)
-
-
-@lru_cache(maxsize=None)
-def affine_simple_roots(rs: RootSystem) -> tuple[AffineRoot, ...]:
-    """Index 0 is delta - theta; index i >= 1 is the finite simple alpha_i."""
-    out = [AffineRoot(tuple(-c for c in rs.theta), 1)]
-    for i in range(rs.rank):
-        out.append(AffineRoot(tuple(1 if j == i else 0 for j in range(rs.rank)), 0))
-    return tuple(out)
+def is_positive_affine(row: Sequence[int]) -> bool:
+    """mu + k*delta > 0: k > 0, or k = 0 and mu a positive root."""
+    level = row[-1]
+    if level:
+        return level > 0
+    return all(c >= 0 for c in row) and any(row)
 
 
 @lru_cache(maxsize=None)
@@ -121,10 +110,8 @@ class AffineWeylElement:
 
     # -- actions ---------------------------------------------------------------
 
-    def act(self, ar: AffineRoot) -> AffineRoot:
-        x = (*ar.finite, ar.level)
-        image = tuple([sum(map(mul, row, x)) for row in self.matrix])
-        return AffineRoot(image[:-1], image[-1])
+    def act(self, row: Sequence[int]) -> tuple[int, ...]:
+        return tuple([sum(map(mul, m, row)) for m in self.matrix])
 
     def act_point(self, x: Sequence[Q]) -> Vector:
         """Affine action on the ambient space, x in root coordinates."""
@@ -142,14 +129,14 @@ class AffineWeylElement:
             for r in range(n)
         )
 
-    def simple_images(self) -> tuple[AffineRoot, ...]:
+    def simple_images(self) -> Matrix:
         """w(alpha_0), ..., w(alpha_n): column j - 1 is w(alpha_j) for j >= 1,
         and w(alpha_0) = w(delta) - sum_j theta_j w(alpha_j).
         """
         *columns, zero = zip(*self.matrix)
         for t, column in zip(self.rs.theta, columns):
             zero = [z - t * c for z, c in zip(zero, column)]
-        return tuple(AffineRoot(tuple(v[:-1]), v[-1]) for v in (zero, *columns))
+        return (tuple(zero), *columns)
 
     # -- descents ----------------------------------------------------------------
 

@@ -17,14 +17,6 @@ from . import abelian, ideals, rootposet, verify
 from .posets import export_dot
 from .rootsystem import RootSystem, RootSystemError, root_system
 
-REPORT_KINDS = ("roots", "hasse", "ideals", "abelian", "classes", "covering")
-EXPORT_KINDS = ("delta", "ad", "ab")
-
-
-def _resolve_system(type_str: str, rank: int | None) -> RootSystem:
-    return root_system(type_str, rank)
-
-
 def _coeff_str(root) -> str:
     return "".join(str(c) for c in root)
 
@@ -202,21 +194,20 @@ def _report_covering(rs: RootSystem, fmt: str) -> str:
     return f"{rs.id}: Delta+ {delta}; Abelian {ab}\n"
 
 
+# `report --what` kind -> renderer(rs, format); the keys are the argparse choices
+REPORTS = {
+    "roots": _report_roots,
+    "hasse": _report_hasse,
+    "ideals": _report_ideals,
+    "abelian": _report_abelian,
+    "classes": _report_classes,
+    "covering": _report_covering,
+}
+
+
 def cmd_report(args: argparse.Namespace) -> int:
-    rs = _resolve_system(args.type, args.rank)
-    if args.what == "roots":
-        text = _report_roots(rs, args.format)
-    elif args.what == "hasse":
-        text = _report_hasse(rs, args.format)
-    elif args.what == "ideals":
-        text = _report_ideals(rs, args.format)
-    elif args.what == "abelian":
-        text = _report_abelian(rs, args.format)
-    elif args.what == "classes":
-        text = _report_classes(rs, args.format)
-    else:
-        text = _report_covering(rs, args.format)
-    return _emit(text, args.out)
+    rs = root_system(args.type, args.rank)
+    return _emit(REPORTS[args.what](rs, args.format), args.out)
 
 
 # -- export ----------------------------------------------------------------------------
@@ -248,15 +239,17 @@ def _export_ideals(batch: tuple[ideals.UpperIdeal, ...], graph_name: str) -> str
     return export_dot(labels, edges, graph_name=graph_name)
 
 
+# `export --what` kind -> renderer(rs); the keys are the argparse choices
+EXPORTS = {
+    "delta": _export_delta,
+    "ad": lambda rs: _export_ideals(ideals.enumerate_upper_ideals(rs), "ad_ideals"),
+    "ab": lambda rs: _export_ideals(abelian.enumerate_abelian_ideals(rs), "abelian_ideals"),
+}
+
+
 def cmd_export(args: argparse.Namespace) -> int:
-    rs = _resolve_system(args.type, args.rank)
-    if args.what == "delta":
-        text = _export_delta(rs)
-    elif args.what == "ad":
-        text = _export_ideals(ideals.enumerate_upper_ideals(rs), "ad_ideals")
-    else:
-        text = _export_ideals(abelian.enumerate_abelian_ideals(rs), "abelian_ideals")
-    return _emit(text, args.out)
+    rs = root_system(args.type, args.rank)
+    return _emit(EXPORTS[args.what](rs), args.out)
 
 
 # -- verify ----------------------------------------------------------------------------
@@ -302,13 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser("report", help="print a table for one root system")
     add_system_flags(rep)
-    rep.add_argument("--what", required=True, choices=REPORT_KINDS)
+    rep.add_argument("--what", required=True, choices=REPORTS)
     rep.add_argument("--format", default="text", choices=("text", "json", "csv"))
     rep.set_defaults(func=cmd_report)
 
     exp = sub.add_parser("export", help="write a DOT diagram for one root system")
     add_system_flags(exp)
-    exp.add_argument("--what", required=True, choices=EXPORT_KINDS)
+    exp.add_argument("--what", required=True, choices=EXPORTS)
     exp.set_defaults(func=cmd_export)
 
     ver = sub.add_parser("verify", help="run the verification suites")

@@ -61,14 +61,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import _kernels
-from .affine import (
-    AffineRoot,
-    AffineWeylElement,
-    Wall,
-    affine_simple_roots,
-    fundamental_alcove_vertices,
-    is_positive_affine,
-)
+from .affine import AffineWeylElement, Wall, fundamental_alcove_vertices, is_positive_affine
 from .posets import IntPolynomial
 from .rootsystem import Root, RootSystem, RootSystemError
 
@@ -401,24 +394,22 @@ def check_minimal_element(me: MinimalElement) -> tuple[int, ...]:
     """
     rs = me.ideal.rs
     w = me.element
-    *delta_finite, delta_level = (row[-1] for row in w.matrix)
+    delta = [row[-1] for row in w.matrix]
     simple_index = {alpha: i for i, alpha in enumerate(rs.simple_roots, start=1)}
     length = 0
     for index, gamma in enumerate(rs.positive_roots):
-        image = w.act(AffineRoot(gamma, 0))
-        difference = AffineRoot(
-            tuple(d - c for d, c in zip(delta_finite, image.finite)), delta_level - image.level
-        )
+        image = w.act((*gamma, 0))
+        difference = tuple(d - c for d, c in zip(delta, image))
         if (me.ideal.mask >> index & 1) == is_positive_affine(difference):
             raise RootSystemError(f"containment condition fails at {gamma}")
         i = simple_index.get(gamma)
         if i is not None and not is_positive_affine(image):
             raise RootSystemError(f"dominance fails at alpha_{i}")
-        length += abs(image.level - (not rs.is_positive_root(image.finite)))
+        length += abs(image[-1] - (not rs.is_positive_root(image[:-1])))
     images = w.inverse().simple_images()
-    if any(w.act(v) != a for v, a in zip(images, affine_simple_roots(rs))):
+    if any(w.act(v) != a for v, a in zip(images, _kernels.peel_tables(rs).simples)):
         raise RootSystemError("the stored inverse does not invert the element")
-    levels = tuple(v.level for v in images)
+    levels = tuple(v[-1] for v in images)
     if any(k < -1 for k in levels):
         raise RootSystemError(f"minimality fails: levels {levels}")
     expected_length = sum(m.bit_count() for m in me.ideal.powers)
@@ -438,11 +429,10 @@ class IdealEdge(NamedTuple):
 
 def generator_edge_types(me: MinimalElement) -> dict[Root, int]:
     """Type of the edge I -> I \\ {gamma} for each generator: w(gamma - delta)."""
-    rs = me.ideal.rs
-    simples = affine_simple_roots(rs)
+    simples = _kernels.peel_tables(me.ideal.rs).simples
     out = {}
     for gamma in me.ideal.generators:
-        image = me.element.act(AffineRoot(gamma, -1))
+        image = me.element.act((*gamma, -1))
         try:
             out[gamma] = simples.index(image)
         except ValueError:
@@ -608,7 +598,7 @@ def z_point(me: MinimalElement) -> tuple[int, ...]:
         else:
             shift = sum(map(mul, x, theta)) - 1
             x = [a - shift * c for a, c in zip(x, rs.coroot_marks)]
-    levels = [v.level for v in me.element.inverse().simple_images()]
+    levels = [v[-1] for v in me.element.inverse().simple_images()]
     if _affine_values(rs, x) != levels:
         raise RootSystemError(f"z-point {x} of the word does not give the levels {levels}")
     return tuple(x)
@@ -628,8 +618,8 @@ def alcove_wall_types(me: MinimalElement) -> list[int]:
     g = me.element.inverse()
     verts = [g.act_point(v) for v in fundamental_alcove_vertices(rs)]
     types = []
-    for t, root in enumerate(g.simple_images()):
-        image = Wall(root.finite, -root.level)  # wall t of w^{-1} * A: where g(alpha_t) vanishes
+    for t, row in enumerate(g.simple_images()):
+        image = Wall(row[:-1], -row[-1])  # wall t of w^{-1} * A: where g(alpha_t) vanishes
         side_values = [image.evaluate(rs, v) for v in verts]
         nonzero = [v for v in side_values if v != 0]
         if len(nonzero) != 1:

@@ -8,6 +8,7 @@ suite holds the computed diagram against.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Container, Iterable, NamedTuple
 
 from .posets import FinitePoset, IntPolynomial
@@ -60,8 +61,6 @@ def expected_edge_type_counts(rs: RootSystem) -> list[int]:
 
 def delta_covering_polynomial(rs: RootSystem) -> IntPolynomial:
     """Covering polynomial of (Δ⁺, ⪯), computed from the typed edges."""
-    from collections import Counter
-
     kappa = Counter(e.upper for e in typed_hasse_edges(rs))
     return IntPolynomial.from_counts(Counter(kappa.get(r, 0) for r in rs.positive_roots))
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, mul, sub
+from operator import add, index, mul, sub
 from typing import NamedTuple, Sequence
 
 from .rootsystem import Root, RootSystem, RootSystemError
@@ -87,8 +87,15 @@ class WeightSystem:
 
 
 def weight_system(rs: RootSystem, highest: Weight) -> WeightSystem:
-    """All weights of the irreducible module with the given highest weight."""
-    highest = tuple(int(c) for c in highest)
+    """All weights of the irreducible module with the given highest weight.
+
+    Each entry must be an integer (an `int`, or any type `operator.index`
+    accepts); a float or a `Fraction` raises, even when its value is whole.
+    """
+    try:
+        highest = tuple(map(index, highest))
+    except TypeError:
+        raise RootSystemError(f"{tuple(highest)} has an entry that is not an integer") from None
     if len(highest) != rs.rank:
         raise RootSystemError("weight has the wrong rank")
     if any(c < 0 for c in highest):

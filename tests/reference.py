@@ -9,32 +9,28 @@ definition and does its work afresh on every call.
 
 from typing import Iterable
 
-from rootposets.affine import (
-    AffineRoot,
-    AffineWeylElement,
-    affine_simple_roots,
-    is_positive_affine,
-)
+from rootposets import _kernels
+from rootposets.affine import AffineWeylElement, is_positive_affine
 from rootposets.rootsystem import RootSystem, RootSystemError
 from rootposets.weights import Weight, _alpha_in_weight_coords
 
 
-def inversion_set(w: AffineWeylElement) -> list[AffineRoot]:
-    """All positive affine roots that w sends to negative ones."""
+def inversion_set(w: AffineWeylElement) -> list[tuple[int, ...]]:
+    """All positive affine roots that w sends to negative ones, as rows (mu..., k)."""
     rs = w.rs
     negatives = [tuple(-c for c in r) for r in rs.positive_roots]
     out = []
     for mu in (*rs.positive_roots, *negatives):
         # w(mu + k*delta) = w(mu) + k*delta is negative for k <= top
-        image = w.act(AffineRoot(mu, 0))
-        top = -image.level - rs.is_positive_root(image.finite)
+        image = w.act((*mu, 0))
+        top = -image[-1] - rs.is_positive_root(image[:-1])
         first = 0 if rs.is_positive_root(mu) else 1
-        out.extend(AffineRoot(mu, k) for k in range(first, top + 1))
-    out.sort(key=lambda ar: (ar.level, ar.finite))
+        out.extend((*mu, k) for k in range(first, top + 1))
+    out.sort(key=lambda row: (row[-1], row[:-1]))
     return out
 
 
-def word_from_inversion_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> tuple[int, ...]:
+def word_from_inversion_set(rs: RootSystem, rows: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
     """Recover a reduced word for the element whose inversion set is given.
 
     Peels one simple affine root per step (preferring index 0), reflecting the
@@ -43,11 +39,11 @@ def word_from_inversion_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> tupl
     the set is not an inversion set.  It reflects the whole remaining set at
     every step, which `_kernels.peel` avoids while finding the same word.
     """
-    simples = affine_simple_roots(rs)
+    simples = _kernels.peel_tables(rs).simples
     gens = [AffineWeylElement.from_word(rs, (i,)) for i in range(rs.rank + 1)]
-    root_list = list(roots)
-    active = set(root_list)
-    if len(active) != len(root_list):
+    row_list = list(rows)
+    active = set(row_list)
+    if len(active) != len(row_list):
         raise RootSystemError("inversion set contains duplicates")
     peeled: list[int] = []
     while active:
@@ -57,8 +53,8 @@ def word_from_inversion_set(rs: RootSystem, roots: Iterable[AffineRoot]) -> tupl
         else:
             raise RootSystemError("not an inversion set: no simple affine root present")
         active.discard(simples[i])
-        active = {gens[i].act(ar) for ar in active}
-        if any(not is_positive_affine(ar) for ar in active):
+        active = {gens[i].act(row) for row in active}
+        if any(not is_positive_affine(row) for row in active):
             raise RootSystemError("not an inversion set: reflection produced a negative root")
         peeled.append(i)
     return tuple(reversed(peeled))

@@ -4,11 +4,10 @@ from functools import reduce
 import pytest
 from reference import inversion_set, word_from_inversion_set
 
+from rootposets import _kernels
 from rootposets.affine import (
-    AffineRoot,
     AffineWeylElement,
     Wall,
-    affine_simple_roots,
     fundamental_alcove_vertices,
     is_positive_affine,
 )
@@ -38,10 +37,10 @@ def test_simple_reflections_are_involutions(name):
 @pytest.mark.parametrize("name", SYSTEMS)
 def test_reflection_negates_its_own_simple_root(name):
     rs = root_system(name)
-    simples = affine_simple_roots(rs)
+    simples = _kernels.peel_tables(rs).simples
     for i, a in enumerate(simples):
         s = AffineWeylElement.from_word(rs, (i,))
-        assert s.act(a) == AffineRoot(tuple(-c for c in a.finite), -a.level)
+        assert s.act(a) == tuple(-c for c in a)
         for j, b in enumerate(simples):
             if j != i:
                 assert is_positive_affine(s.act(b))
@@ -49,9 +48,20 @@ def test_reflection_negates_its_own_simple_root(name):
 
 def test_affine_zero_root_structure():
     rs = root_system("B3")
-    a0 = affine_simple_roots(rs)[0]
-    assert a0.level == 1
-    assert a0.finite == tuple(-c for c in rs.theta)
+    a0 = _kernels.peel_tables(rs).simples[0]
+    assert a0[-1] == 1
+    assert a0[:-1] == tuple(-c for c in rs.theta)
+
+
+def test_positive_affine_rows():
+    # mu + k*delta > 0 iff k > 0, or k = 0 and mu is a positive root
+    rs = root_system("B3")
+    negatives = [tuple(-c for c in r) for r in rs.positive_roots]
+    finite = [*rs.positive_roots, *negatives, (0,) * rs.rank]
+    for mu in finite:
+        for k in (-1, 0, 1):
+            assert is_positive_affine((*mu, k)) == (k > 0 or (k == 0 and rs.is_positive_root(mu)))
+    assert not is_positive_affine((0,) * (rs.rank + 1))
 
 
 def test_generator_index_out_of_range():
@@ -84,10 +94,10 @@ def test_group_laws(name, rng):
         uv = AffineWeylElement.from_word(rs, a + b)
         assert uv.inverse() == AffineWeylElement.from_word(rs, b[::-1] + a[::-1])
         assert AffineWeylElement.from_word(rs, a + a[::-1]) == AffineWeylElement.identity(rs)
-        for ar in affine_simple_roots(rs):
-            assert uv.act(ar) == u.act(v.act(ar))
-            assert uv.inverse().act(ar) == v.inverse().act(u.inverse().act(ar))
-            assert u.inverse().act(u.act(ar)) == ar
+        for alpha in _kernels.peel_tables(rs).simples:
+            assert uv.act(alpha) == u.act(v.act(alpha))
+            assert uv.inverse().act(alpha) == v.inverse().act(u.inverse().act(alpha))
+            assert u.inverse().act(u.act(alpha)) == alpha
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -114,19 +124,17 @@ def test_elements_are_integer_matrices(name, rng):
         assert w.inverse() == AffineWeylElement.from_word(rs, word[::-1])
         assert AffineWeylElement.from_word(rs, word + word[::-1]) == AffineWeylElement.identity(rs)
         # w is the product of its letters: s_1 ... s_k acts as s_k first
-        for ar in affine_simple_roots(rs):
-            assert reduce(lambda x, i: gens[i].act(x), reversed(word), ar) == w.act(ar)
+        for alpha in _kernels.peel_tables(rs).simples:
+            assert reduce(lambda x, i: gens[i].act(x), reversed(word), alpha) == w.act(alpha)
 
 
 def test_word_from_non_inversion_set_raises():
     rs = root_system("A2")
     # theta at level 0 alone is not biconvex, hence not an inversion set
     with pytest.raises(RootSystemError):
-        word_from_inversion_set(rs, [AffineRoot(rs.theta, 0)])
+        word_from_inversion_set(rs, [(*rs.theta, 0)])
     with pytest.raises(RootSystemError):
-        word_from_inversion_set(
-            rs, [AffineRoot(rs.theta, 0), AffineRoot(rs.theta, 0)]
-        )
+        word_from_inversion_set(rs, [(*rs.theta, 0), (*rs.theta, 0)])
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -150,7 +158,7 @@ def test_simple_images_match_act(name, rng):
     for _ in range(8):
         w = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 12))
         for g in (w, w.inverse()):
-            assert g.simple_images() == tuple(g.act(a) for a in affine_simple_roots(rs))
+            assert g.simple_images() == tuple(g.act(a) for a in _kernels.peel_tables(rs).simples)
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])
@@ -162,7 +170,7 @@ def test_wall_action_is_equivariant(name, rng):
     points = [fundamental_alcove_vertices(rs)[1], tuple(Q(1, k + 2) for k in range(rs.rank))]
     for _ in range(6):
         g = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 8))
-        images = [Wall(a.finite, -a.level) for a in g.simple_images()]
+        images = [Wall(a[:-1], -a[-1]) for a in g.simple_images()]
         for x in points:
             y = g.act_point(x)
             for wall, sign, image in zip(alcove_walls(rs), signs, images):

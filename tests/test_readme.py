@@ -1,0 +1,12 @@
+"""README's Python examples run as doctests, so they follow the API."""
+
+import doctest
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run():
+    result = doctest.testfile(str(README), module_relative=False)
+    assert result.failed == 0
+    assert result.attempted == 10

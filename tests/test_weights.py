@@ -3,7 +3,7 @@ from reference import dominant_representative
 
 from rootposets import verify, weights
 from rootposets.affine import cartan_inverse
-from rootposets.rootsystem import root_system
+from rootposets.rootsystem import RootSystemError, root_system
 from rootposets.weights import (
     _dominant_map,
     _pair,
@@ -101,6 +101,19 @@ def test_zero_deletion_drops_two_edges_per_type(small_system):
     ws = weight_system(rs, adjoint_weight(rs))
     counts = edge_type_counts(ws)
     assert zero_deleted_type_counts(ws) == [c - 2 for c in counts]
+
+
+def test_weight_system_refuses_a_non_integral_highest_weight():
+    # int() would truncate (1.5, 0) to the 3-dimensional module of (1, 0)
+    rs = root_system("A2")
+    for highest in ((1.5, 0), (1.0, 0), (0, "1")):
+        with pytest.raises(RootSystemError, match="not an integer"):
+            weight_system(rs, highest)
+    with pytest.raises(RootSystemError, match="wrong rank"):
+        weight_system(rs, (1, 0, 0))
+    with pytest.raises(RootSystemError, match="not dominant"):
+        weight_system(rs, (-1, 0))
+    assert weight_system(rs, (1, 0)).dim == 3
 
 
 def test_sl2_oracle(small_system):
