@@ -7,9 +7,11 @@ these rows, so an element is one integer (n+1)x(n+1) matrix, stored with its
 inverse; `act`, inverses and the images of the affine simple roots
 (`simple_images`, whose zero sets are the images of the alcove walls) are
 integer computations on rows.  Only points of the ambient space
-(`act_point`, alcove vertices), the Cartan inverse and the coweights they
+(`act_points`, alcove vertices), the Cartan inverse and the coweights they
 are built from have rational coordinates; this is the one module of the
-package that uses `Fraction`.
+package that uses `Fraction`.  `act_points` moves many points with one
+translation, and `Wall.scaled_values` reads a wall at many points from one
+integer vector, scaled by D > 0 so that signs and zeros are kept.
 
 The fundamental alcove is the open simplex cut out by (x, alpha_i) > 0 and
 (x, theta) < 1; its vertices are 0 and the fundamental coweights divided by
@@ -113,11 +115,18 @@ class AffineWeylElement:
     def act(self, row: Sequence[int]) -> tuple[int, ...]:
         return tuple([sum(map(mul, m, row)) for m in self.matrix])
 
-    def act_point(self, x: Sequence[Q]) -> Vector:
-        """Affine action on the ambient space, x in root coordinates."""
+    def act_points(self, points: Sequence[Sequence[Q]]) -> tuple[Vector, ...]:
+        """Affine action on points of the ambient space, in root coordinates.
+
+        w = L o t_t, so w(x) = L(x + t); t is computed once for all points.
+        """
         t = self.translation_root_coords()
-        shifted = [Q(a) + b for a, b in zip(x, t)]
-        return tuple(Q(sum(a * b for a, b in zip(row, shifted))) for row in self.matrix[:-1])
+        rows = self.matrix[:-1]
+        images = []
+        for x in points:
+            shifted = [a + b for a, b in zip(x, t)]
+            images.append(tuple(sum(map(mul, row, shifted)) for row in rows))
+        return tuple(images)
 
     def translation_root_coords(self) -> Vector:
         """t with w = L o t_t: (t, alpha_c) is minus entry c of the level row."""
@@ -161,8 +170,15 @@ class Wall(NamedTuple):
             return Wall(tuple(-c for c in self.normal), -self.offset)
         return self
 
-    def evaluate(self, rs: RootSystem, x: Sequence[Q]) -> Q:
-        return Q(rs.form(x, self.normal), rs.form_denominator) - self.offset
+    def scaled_values(self, rs: RootSystem, points: Sequence[Sequence[Q]]) -> list[Q]:
+        """D*((x, normal) - offset) at each point x, D = `rs.form_denominator` > 0.
+
+        D*(x, normal) = sum_i c_i*x_i with the integers c_i = e_i*<normal, alpha_i^vee>,
+        built once per wall; scaling by D keeps every sign and every zero.
+        """
+        vector = [(i, c) for i, e in enumerate(rs.form_weights) if (c := e * rs.pairing(self.normal, i))]
+        shift = rs.form_denominator * self.offset
+        return [sum(c * x[i] for i, c in vector) - shift for x in points]
 
 
 @lru_cache(maxsize=None)

@@ -616,11 +616,11 @@ def alcove_wall_types(me: MinimalElement) -> list[int]:
     """Types of the walls of w^{-1} * A separating that alcove from the origin."""
     rs = me.ideal.rs
     g = me.element.inverse()
-    verts = [g.act_point(v) for v in fundamental_alcove_vertices(rs)]
+    verts = g.act_points(fundamental_alcove_vertices(rs))
     types = []
     for t, row in enumerate(g.simple_images()):
         image = Wall(row[:-1], -row[-1])  # wall t of w^{-1} * A: where g(alpha_t) vanishes
-        side_values = [image.evaluate(rs, v) for v in verts]
+        side_values = image.scaled_values(rs, verts)  # D times the values: same signs
         nonzero = [v for v in side_values if v != 0]
         if len(nonzero) != 1:
             raise RootSystemError(f"alcove wall {image} does not contain all vertices but one")

@@ -9,8 +9,9 @@ suite holds the computed diagram against.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Container, Iterable, NamedTuple
+from typing import NamedTuple
 
+from . import ideals
 from .posets import FinitePoset, IntPolynomial
 from .rootsystem import Root, RootSystem, RootSystemError
 
@@ -21,22 +22,22 @@ class TypedEdge(NamedTuple):
     type_index: int  # upper - lower = alpha_{type_index} (0-based simple index)
 
 
-def _simple_root_edges(
-    rs: RootSystem, roots: Iterable[Root], members: Container[Root]
-) -> list[TypedEdge]:
-    """Edges lower -> lower + alpha_i for lower in `roots` and the sum in `members`."""
-    edges = []
-    for lower in roots:
-        for i in range(rs.rank):
-            upper = tuple(c + (1 if j == i else 0) for j, c in enumerate(lower))
-            if upper in members:
-                edges.append(TypedEdge(upper, lower, i))
-    return sorted(edges, key=lambda e: (rs.height(e.upper), e.upper, e.lower))
-
-
 def typed_hasse_edges(rs: RootSystem) -> list[TypedEdge]:
-    """All Hasse edges of (Δ⁺, ⪯), deterministically ordered."""
-    return _simple_root_edges(rs, rs.positive_roots, rs.root_index)
+    """All Hasse edges of (Δ⁺, ⪯), read off the cover table of `ideals`.
+
+    Uppers come in root order (height, then tuple), and the lowers
+    upper - alpha_i of each upper by increasing i, which is increasing tuple.
+    """
+    pos = rs.positive_roots
+    lowers: list[list[int]] = [[] for _ in pos]
+    for i, uppers in enumerate(ideals._covers(rs)):
+        for j in uppers:
+            lowers[j].append(i)
+    return [
+        TypedEdge(pos[j], pos[i], next(k for k, (a, b) in enumerate(zip(pos[j], pos[i])) if a != b))
+        for j, below in enumerate(lowers)
+        for i in below
+    ]
 
 
 def edge_type_counts(rs: RootSystem) -> list[int]:
@@ -103,7 +104,8 @@ def short_root_subdiagram(rs: RootSystem) -> tuple[list[Root], list[TypedEdge]]:
     if not rs.short_simple_indices:
         raise RootSystemError(f"{rs.id} is simply laced: no short-root subdiagram")
     shorts = [r for r in rs.positive_roots if not rs.is_long(r)]
-    return shorts, _simple_root_edges(rs, shorts, set(shorts))
+    members = set(shorts)
+    return shorts, [e for e in typed_hasse_edges(rs) if e.upper in members and e.lower in members]
 
 
 def short_subdiagram_type_counts(rs: RootSystem) -> list[int]:

@@ -2,15 +2,19 @@
 
 The library finds each of these by a faster route: the peel
 (`_kernels.peel`) in place of `word_from_inversion_set`, the target rows of
-an ideal in place of `inversion_set`, and the memoized `weights._dominant_map`
-in place of `dominant_representative`.  Each reference here follows the
-definition and does its work afresh on every call.
+an ideal in place of `inversion_set`, the memoized `weights._dominant_map`
+in place of `dominant_representative`, and `AffineWeylElement.act_points`
+with `Wall.scaled_values` in place of `act_point` and `wall_value` in
+`alcove_wall_types`.  Each reference here follows the definition and does its
+work afresh on every call.
 """
 
-from typing import Iterable
+from fractions import Fraction as Q
+from typing import Iterable, Sequence
 
 from rootposets import _kernels
-from rootposets.affine import AffineWeylElement, is_positive_affine
+from rootposets.affine import AffineWeylElement, Wall, fundamental_alcove_vertices, is_positive_affine
+from rootposets.ideals import MinimalElement
 from rootposets.rootsystem import RootSystem, RootSystemError
 from rootposets.weights import Weight, _alpha_in_weight_coords
 
@@ -71,3 +75,37 @@ def dominant_representative(rs: RootSystem, weight: Weight) -> Weight:
         alpha = _alpha_in_weight_coords(rs, neg)
         c = w[neg]
         w = tuple(x - c * a for x, a in zip(w, alpha))
+
+
+def act_point(g: AffineWeylElement, x: Sequence[Q]) -> tuple[Q, ...]:
+    """g(x) for one point x in root coordinates; g = L o t_t, and t is found afresh."""
+    t = g.translation_root_coords()
+    shifted = [Q(a) + b for a, b in zip(x, t)]
+    return tuple(Q(sum(a * b for a, b in zip(row, shifted))) for row in g.matrix[:-1])
+
+
+def wall_value(rs: RootSystem, wall: Wall, x: Sequence[Q]) -> Q:
+    """(x, normal) - offset, with the pairing read through the bilinear form."""
+    return Q(rs.form(x, wall.normal), rs.form_denominator) - wall.offset
+
+
+def alcove_wall_types(me: MinimalElement) -> list[int]:
+    """Types of the walls of w^{-1} * A separating it from the origin: each alcove
+    vertex moved by its own `act_point`, each wall read at each vertex by `wall_value`."""
+    rs = me.ideal.rs
+    g = me.element.inverse()
+    verts = [act_point(g, v) for v in fundamental_alcove_vertices(rs)]
+    types = []
+    for t, row in enumerate(g.simple_images()):
+        image = Wall(row[:-1], -row[-1])
+        side_values = [wall_value(rs, image, v) for v in verts]
+        nonzero = [v for v in side_values if v != 0]
+        if len(nonzero) != 1:
+            raise RootSystemError(f"alcove wall {image} does not contain all vertices but one")
+        at_origin = -image.offset
+        if at_origin != 0 and (nonzero[0] > 0) != (at_origin > 0):
+            norm = image.normalized()
+            if norm.offset != 1 or not rs.is_positive_root(norm.normal):
+                raise RootSystemError(f"separating wall {norm} is not at level one")
+            types.append(t)
+    return sorted(types)

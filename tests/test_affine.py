@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 from functools import reduce
 
 import pytest
-from reference import inversion_set, word_from_inversion_set
+from reference import act_point, inversion_set, wall_value, word_from_inversion_set
 
 from rootposets import _kernels
 from rootposets.affine import (
@@ -147,7 +147,8 @@ def test_alcove_walls_and_vertices(name):
     # each wall contains exactly n of the n+1 vertices, with the remaining
     # vertex strictly on the alcove side
     for wall in walls:
-        values = [wall.evaluate(rs, v) for v in vertices]
+        values = wall.scaled_values(rs, vertices)
+        assert values == [rs.form_denominator * wall_value(rs, wall, v) for v in vertices]
         assert values.count(0) == rs.rank
         assert all(v >= 0 for v in values) or all(v <= 0 for v in values)
 
@@ -171,10 +172,10 @@ def test_wall_action_is_equivariant(name, rng):
     for _ in range(6):
         g = AffineWeylElement.from_word(rs, random_word(rng, rs.rank, 8))
         images = [Wall(a[:-1], -a[-1]) for a in g.simple_images()]
-        for x in points:
-            y = g.act_point(x)
-            for wall, sign, image in zip(alcove_walls(rs), signs, images):
-                assert image.evaluate(rs, y) == sign * wall.evaluate(rs, x)
+        moved = g.act_points(points)
+        assert moved == tuple(act_point(g, x) for x in points)
+        for wall, sign, image in zip(alcove_walls(rs), signs, images):
+            assert image.scaled_values(rs, moved) == [sign * v for v in wall.scaled_values(rs, points)]
 
 
 def test_wall_normalized_flips_sign():
@@ -189,6 +190,6 @@ def test_affine_reflection_translates_origin_to_theta_covector():
     rs = root_system("A2")
     s0 = AffineWeylElement.from_word(rs, (0,))
     origin = (Q(0), Q(0))
-    assert s0.act_point(origin) == (Q(1), Q(1))
+    assert s0.act_points([origin]) == ((Q(1), Q(1)),)
     assert s0.translation_root_coords() == (Q(-1), Q(-1))
     assert AffineWeylElement.from_word(rs, (0, 0)).translation_root_coords() == (Q(0), Q(0))

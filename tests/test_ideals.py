@@ -2,6 +2,7 @@ import hashlib
 from itertools import zip_longest
 
 import pytest
+import reference
 
 from rootposets import _kernels, ideals, verify
 from rootposets.abelian import enumerate_abelian_ideals
@@ -474,7 +475,7 @@ def test_z_point_refuses_a_word_of_another_element():
 @pytest.mark.parametrize("name", ["C3", "E6"])
 def test_four_routes_do_not_act_on_affine_simple_roots(name, monkeypatch):
     rs = root_system(name)
-    batch = enumerate_upper_ideals(rs) if name == "C3" else sample_ideals(rs, verify.EDGE_SAMPLE_SIZE)
+    batch = enumerate_upper_ideals(rs) if name == "C3" else sample_ideals(rs, 300)
     elements = [minimal_element(ideal) for ideal in batch]
     simples = set(_kernels.peel_tables(rs).simples)
     on_simples = []
@@ -493,6 +494,15 @@ def test_four_routes_do_not_act_on_affine_simple_roots(name, monkeypatch):
         descent_types(me)
     assert len(elements) == (20 if name == "C3" else 300)
     assert on_simples == []
+
+
+@pytest.mark.parametrize("name", [*(str(sid) for sid in admissible_systems(4)), "E6"])
+def test_wall_route_equals_the_per_vertex_reference(name):
+    rs = root_system(name)
+    batch = sample_ideals(rs, 100) if name == "E6" else enumerate_upper_ideals(rs)
+    for ideal in batch:
+        me = minimal_element(ideal)
+        assert alcove_wall_types(me) == reference.alcove_wall_types(me)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "C3", "G2"])

@@ -151,3 +151,18 @@ def test_rotated_lattice_types_fail_the_abelian_typing_lines(monkeypatch, capsys
     assert failed_with_prefix(lines, "abelian: C3: per-type edge counts ")
     # G2 has no stored class table; F4 is the exceptional system that has one at rank 4
     assert failed(lines, "abelian: F4: classes of all commutative roots match the stored table")
+
+
+def test_vertices_of_twice_the_alcove_fail_the_four_route_line(monkeypatch, capsys, fresh_caches):
+    vertices = affine.fundamental_alcove_vertices
+
+    def doubled(rs):
+        return tuple(tuple(2 * c for c in v) for v in vertices(rs))
+
+    # the wall route reads the vertices through the name ideals imports; its return is untouched
+    monkeypatch.setattr(ideals, "fundamental_alcove_vertices", doubled)
+    code, lines = verify_lines(capsys)
+    assert code == 1
+    assert failed(
+        lines, "ad: A3: edge types agree along all four routes (definition, facet, walls, descents) for every ideal"
+    )
